@@ -67,10 +67,13 @@ let reference p =
   done;
   (counts, deltas)
 
-let body ?(verify = true) p ctx =
+let validate p =
   Traffic.validate p.traffic;
-  if p.buckets < 1 then invalid_arg "Kvstore.body: buckets must be >= 1";
-  if p.op_us < 0. then invalid_arg "Kvstore.body: op_us must be >= 0";
+  if p.buckets < 1 then invalid_arg "Kvstore: buckets must be >= 1";
+  if p.op_us < 0. then invalid_arg "Kvstore: op_us must be >= 0"
+
+let body ?(verify = true) p ctx =
+  validate p;
   let tp = p.traffic in
   let page_words = Svm.Api.page_words ctx in
   let slots = (tp.Traffic.keys + p.buckets - 1) / p.buckets in

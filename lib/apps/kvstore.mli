@@ -22,6 +22,10 @@ val default : params
 
 val name : string
 
+(** Raises [Invalid_argument] describing the first field out of range
+    ({!Traffic.validate}, then [buckets] and [op_us]). *)
+val validate : params -> unit
+
 (** Per-key (put count, transfer delta) accumulators from a sequential
     replay of the whole plan; the SVM run must agree exactly. *)
 val reference : params -> int array * int array

@@ -5,6 +5,13 @@
 
 type scale = Test | Bench | Full
 
+let scale_name = function Test -> "test" | Bench -> "bench" | Full -> "full"
+
+let scale_strings = List.map scale_name [ Test; Bench; Full ]
+
+let scale_of_string s =
+  List.find_opt (fun sc -> scale_name sc = String.lowercase_ascii s) [ Test; Bench; Full ]
+
 type t = {
   name : string;
   body : verify:bool -> Svm.Api.ctx -> unit;

@@ -6,6 +6,16 @@
     compute-to-communication ratios (longer wall-clock). *)
 type scale = Test | Bench | Full
 
+(** The command-line and report spelling of a scale (["test"] | ["bench"] |
+    ["full"]). *)
+val scale_name : scale -> string
+
+(** The spellings {!scale_of_string} accepts, in [Test; Bench; Full] order. *)
+val scale_strings : string list
+
+(** Case-insensitive inverse of {!scale_name}. *)
+val scale_of_string : string -> scale option
+
 type t = {
   name : string;
   body : verify:bool -> Svm.Api.ctx -> unit;

@@ -196,7 +196,9 @@ let make ?(page_words = 1024) ?(costs = Machine.Costs.default)
     trace_spans;
     fault_batch;
     replicas;
-    repl_scheme;
+    (* Without backups there is no scheme to speak of: --replicas 1 under
+       either spelling is the unreplicated configuration. *)
+    repl_scheme = (if replicas > 1 then repl_scheme else Inval);
     metrics_interval;
     detector;
     hb_interval;

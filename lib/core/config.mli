@@ -146,7 +146,8 @@ type t = {
           writer's streamed diffs at the replica members (both schemes
           behave identically there). *)
   repl_scheme : repl_scheme;
-      (** Backup-consistency scheme, meaningful when [replicas] > 1. *)
+      (** Backup-consistency scheme, meaningful when [replicas] > 1;
+          {!make} sets it to [Inval] when [replicas] = 1. *)
   metrics_interval : float;
       (** Time-bucket width (simulated microseconds) of the sampled metrics
           flight recorder ([--metrics-interval US]). 0 (the default)

@@ -11,7 +11,7 @@ type params = {
 type op = Get of int | Put of int | Txn of int * int
 
 let validate p =
-  if p.ops < 0 then invalid_arg "Traffic: ops must be >= 0";
+  if p.ops < 1 then invalid_arg "Traffic: ops must be >= 1";
   if not (p.rate > 0.) then invalid_arg "Traffic: rate must be > 0";
   if p.keys < 1 then invalid_arg "Traffic: keys must be >= 1";
   if p.theta < 0. || p.theta >= 1. then

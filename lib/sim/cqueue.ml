@@ -3,7 +3,8 @@
    in or near the bucket currently being drained and both push and pop are
    O(1) amortised, versus O(log n) for the binary heap.
 
-   Ordering contract (must match [Heap] exactly, byte-for-byte on traces):
+   Ordering contract (must match a binary heap's exactly, byte-for-byte on
+   traces; test/heap.ml is the reference model):
    entries pop in lexicographic ((key, seq)) order, where [seq] is the
    global push counter — equal keys pop in insertion order.
 

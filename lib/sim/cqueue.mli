@@ -1,6 +1,6 @@
 (** Calendar queue: the engine's event set.
 
-    Same ordering contract as {!Heap} — entries pop in lexicographic
+    Same ordering contract as a binary min-heap — entries pop in lexicographic
     [(key, insertion order)] order, so equal keys pop FIFO — but O(1)
     amortised push/pop for the mostly-increasing timestamp streams a
     discrete-event simulation produces, and pooled storage (parallel flat

@@ -1,4 +1,8 @@
-(* The payload lives in a mutable field cleared by [pop_min]: a popped
+(* Binary min-heap: the reference model the calendar queue ([Sim.Cqueue])
+   is checked against in test_sim.ml. Simple enough to be obviously right,
+   with the same ordering contract.
+
+   The payload lives in a mutable field cleared by [pop_min]: a popped
    entry can stay reachable from vacated backing-array slots (the swap-down
    copy, or the fill slots [grow] seeds) until those slots are overwritten,
    and a 4-word husk there is harmless — but the payload it used to carry
@@ -66,7 +70,7 @@ let push h ~key value =
   sift_up h.data (h.size - 1)
 
 let pop_min h =
-  if h.size = 0 then invalid_arg "Sim.Heap.pop_min: heap is empty";
+  if h.size = 0 then invalid_arg "Heap.pop_min: heap is empty";
   let min = h.data.(0) in
   h.size <- h.size - 1;
   if h.size > 0 then begin
@@ -82,7 +86,7 @@ let pop_min h =
   (min.key, v)
 
 let peek_min h =
-  if h.size = 0 then invalid_arg "Sim.Heap.peek_min: heap is empty";
+  if h.size = 0 then invalid_arg "Heap.peek_min: heap is empty";
   let min = h.data.(0) in
   match min.value with
   | Some v -> (min.key, v)

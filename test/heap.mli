@@ -1,4 +1,5 @@
-(** Imperative binary min-heap keyed by [float * int].
+(** Imperative binary min-heap keyed by [float * int]: the reference model
+    for {!Sim.Cqueue}'s equivalence tests.
 
     The integer component is a tie-breaker so that two entries with equal
     float keys pop in insertion order, which keeps discrete-event simulations

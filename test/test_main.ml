@@ -28,4 +28,5 @@ let () =
       ("detector", Test_detector.suite);
       ("metrics", Test_metrics.suite);
       ("kvstore", Test_kvstore.suite);
+      ("cli", Test_cli.suite);
     ]

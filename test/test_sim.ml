@@ -1,5 +1,5 @@
-(* Unit and property tests for the discrete-event substrate: heap, RNG and
-   engine. *)
+(* Unit and property tests for the discrete-event substrate: the
+   reference heap, the calendar queue, RNG and engine. *)
 
 let check = Alcotest.check
 
@@ -7,42 +7,42 @@ let check = Alcotest.check
 (* Heap *)
 
 let test_heap_ordering () =
-  let h = Sim.Heap.create () in
-  List.iter (fun (k, v) -> Sim.Heap.push h ~key:k v) [ (3., "c"); (1., "a"); (2., "b") ];
-  check Alcotest.(pair (float 0.) string) "min" (1., "a") (Sim.Heap.pop_min h);
-  check Alcotest.(pair (float 0.) string) "next" (2., "b") (Sim.Heap.pop_min h);
-  check Alcotest.(pair (float 0.) string) "last" (3., "c") (Sim.Heap.pop_min h);
-  check Alcotest.bool "empty" true (Sim.Heap.is_empty h)
+  let h = Heap.create () in
+  List.iter (fun (k, v) -> Heap.push h ~key:k v) [ (3., "c"); (1., "a"); (2., "b") ];
+  check Alcotest.(pair (float 0.) string) "min" (1., "a") (Heap.pop_min h);
+  check Alcotest.(pair (float 0.) string) "next" (2., "b") (Heap.pop_min h);
+  check Alcotest.(pair (float 0.) string) "last" (3., "c") (Heap.pop_min h);
+  check Alcotest.bool "empty" true (Heap.is_empty h)
 
 let test_heap_fifo_ties () =
-  let h = Sim.Heap.create () in
-  List.iter (fun v -> Sim.Heap.push h ~key:5. v) [ 1; 2; 3; 4 ];
-  let order = List.init 4 (fun _ -> snd (Sim.Heap.pop_min h)) in
+  let h = Heap.create () in
+  List.iter (fun v -> Heap.push h ~key:5. v) [ 1; 2; 3; 4 ];
+  let order = List.init 4 (fun _ -> snd (Heap.pop_min h)) in
   check Alcotest.(list int) "insertion order on equal keys" [ 1; 2; 3; 4 ] order
 
 let test_heap_empty_pop () =
-  let h : int Sim.Heap.t = Sim.Heap.create () in
+  let h : int Heap.t = Heap.create () in
   Alcotest.check_raises "pop empty"
-    (Invalid_argument "Sim.Heap.pop_min: heap is empty")
-    (fun () -> ignore (Sim.Heap.pop_min h));
+    (Invalid_argument "Heap.pop_min: heap is empty")
+    (fun () -> ignore (Heap.pop_min h));
   Alcotest.check_raises "peek empty"
-    (Invalid_argument "Sim.Heap.peek_min: heap is empty")
-    (fun () -> ignore (Sim.Heap.peek_min h))
+    (Invalid_argument "Heap.peek_min: heap is empty")
+    (fun () -> ignore (Heap.peek_min h))
 
 (* Popped payloads must become unreachable: the event queue of a long
    simulation oscillates around a small size, and a popped slot that keeps
    its closure alive is a space leak proportional to everything those
    closures capture. *)
 let test_heap_releases_payloads () =
-  let h : string Sim.Heap.t = Sim.Heap.create () in
+  let h : string Heap.t = Heap.create () in
   let live = Weak.create 20 in
   for i = 0 to 19 do
     let payload = String.init 8 (fun j -> Char.chr (65 + ((i + j) mod 26))) in
     Weak.set live i (Some payload);
-    Sim.Heap.push h ~key:(float_of_int (i mod 5)) payload
+    Heap.push h ~key:(float_of_int (i mod 5)) payload
   done;
   for _ = 1 to 10 do
-    ignore (Sim.Heap.pop_min h)
+    ignore (Heap.pop_min h)
   done;
   Gc.full_major ();
   let alive = ref 0 in
@@ -52,34 +52,34 @@ let test_heap_releases_payloads () =
   (* Keep the heap itself reachable until after the scan, or the GC is free
      to collect it — payloads included — before the full_major. *)
   check Alcotest.int "unpopped payloads still in the heap" 10
-    (Sim.Heap.length (Sys.opaque_identity h));
+    (Heap.length (Sys.opaque_identity h));
   check Alcotest.int "only unpopped payloads stay reachable" 10 !alive
 
 let test_heap_peek () =
-  let h = Sim.Heap.create () in
-  Sim.Heap.push h ~key:2. "x";
-  Sim.Heap.push h ~key:1. "y";
-  check Alcotest.(pair (float 0.) string) "peek" (1., "y") (Sim.Heap.peek_min h);
-  check Alcotest.int "peek does not remove" 2 (Sim.Heap.length h)
+  let h = Heap.create () in
+  Heap.push h ~key:2. "x";
+  Heap.push h ~key:1. "y";
+  check Alcotest.(pair (float 0.) string) "peek" (1., "y") (Heap.peek_min h);
+  check Alcotest.int "peek does not remove" 2 (Heap.length h)
 
 let test_heap_clear () =
-  let h = Sim.Heap.create () in
+  let h = Heap.create () in
   for i = 0 to 9 do
-    Sim.Heap.push h ~key:(float_of_int i) i
+    Heap.push h ~key:(float_of_int i) i
   done;
-  Sim.Heap.clear h;
-  check Alcotest.bool "cleared" true (Sim.Heap.is_empty h)
+  Heap.clear h;
+  check Alcotest.bool "cleared" true (Heap.is_empty h)
 
 let prop_heap_sorted =
   QCheck.Test.make ~name:"heap pops keys in nondecreasing order" ~count:200
     QCheck.(list (float_bound_inclusive 1000.))
     (fun keys ->
-      let h = Sim.Heap.create () in
-      List.iteri (fun i k -> Sim.Heap.push h ~key:k i) keys;
+      let h = Heap.create () in
+      List.iteri (fun i k -> Heap.push h ~key:k i) keys;
       let rec drain last =
-        if Sim.Heap.is_empty h then true
+        if Heap.is_empty h then true
         else
-          let k, _ = Sim.Heap.pop_min h in
+          let k, _ = Heap.pop_min h in
           k >= last && drain k
       in
       drain neg_infinity)
@@ -88,11 +88,11 @@ let prop_heap_conserves =
   QCheck.Test.make ~name:"heap returns every pushed element once" ~count:200
     QCheck.(list small_int)
     (fun xs ->
-      let h = Sim.Heap.create () in
-      List.iter (fun x -> Sim.Heap.push h ~key:(float_of_int (x mod 7)) x) xs;
+      let h = Heap.create () in
+      List.iter (fun x -> Heap.push h ~key:(float_of_int (x mod 7)) x) xs;
       let out = ref [] in
-      while not (Sim.Heap.is_empty h) do
-        out := snd (Sim.Heap.pop_min h) :: !out
+      while not (Heap.is_empty h) do
+        out := snd (Heap.pop_min h) :: !out
       done;
       List.sort compare !out = List.sort compare xs)
 
@@ -102,11 +102,11 @@ let prop_heap_stable_sort =
   QCheck.Test.make ~name:"heap drain is the stable sort by key" ~count:200
     QCheck.(list (int_bound 10))
     (fun keys ->
-      let h = Sim.Heap.create () in
-      List.iteri (fun i k -> Sim.Heap.push h ~key:(float_of_int k) (k, i)) keys;
+      let h = Heap.create () in
+      List.iteri (fun i k -> Heap.push h ~key:(float_of_int k) (k, i)) keys;
       let out = ref [] in
-      while not (Sim.Heap.is_empty h) do
-        out := snd (Sim.Heap.pop_min h) :: !out
+      while not (Heap.is_empty h) do
+        out := snd (Heap.pop_min h) :: !out
       done;
       let expected =
         List.stable_sort
@@ -217,21 +217,21 @@ let prop_cqueue_matches_heap =
     (fun (ops, extra) ->
       let keys = List.map (fun (k, pop) -> (float_of_int k, pop)) ops @ List.map (fun k -> (k, false)) extra in
       let q = Sim.Cqueue.create () in
-      let h = Sim.Heap.create () in
+      let h = Heap.create () in
       let i = ref 0 in
       let agree = ref true in
       List.iter
         (fun (k, pop) ->
           Sim.Cqueue.push q ~key:k !i;
-          Sim.Heap.push h ~key:k !i;
+          Heap.push h ~key:k !i;
           incr i;
           if pop && not (Sim.Cqueue.is_empty q) then
-            if Sim.Cqueue.pop_min q <> Sim.Heap.pop_min h then agree := false)
+            if Sim.Cqueue.pop_min q <> Heap.pop_min h then agree := false)
         keys;
       while !agree && not (Sim.Cqueue.is_empty q) do
-        if Sim.Cqueue.pop_min q <> Sim.Heap.pop_min h then agree := false
+        if Sim.Cqueue.pop_min q <> Heap.pop_min h then agree := false
       done;
-      !agree && Sim.Heap.is_empty h)
+      !agree && Heap.is_empty h)
 
 (* ------------------------------------------------------------------ *)
 (* RNG *)
