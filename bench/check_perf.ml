@@ -19,45 +19,52 @@
      options: --baseline FILE --alloc-tolerance F --speed-tolerance F
               --json FILE (write the measured cells for the CI artifact) *)
 
+open Cmdliner
+
 type options = {
-  mutable baseline : string;
-  mutable alloc_tolerance : float; (* fractional headroom on minor words/event *)
-  mutable speed_tolerance : float; (* allowed slowdown factor on events/sec and wall *)
-  mutable json_out : string option;
-  mutable update : bool;
+  baseline : string;
+  alloc_tolerance : float; (* fractional headroom on minor words/event *)
+  speed_tolerance : float; (* allowed slowdown factor on events/sec and wall *)
+  json_out : string option;
+  update : bool;
 }
 
-let parse_args () =
-  let o =
-    {
-      baseline = "BENCH_perf_baseline.json";
-      alloc_tolerance = 0.05;
-      speed_tolerance = 2.0;
-      json_out = None;
-      update = false;
-    }
+let options =
+  let baseline =
+    Arg.(
+      value
+      & opt string "BENCH_perf_baseline.json"
+      & info [ "baseline" ] ~docv:"FILE" ~doc:"Baseline to check against or rewrite.")
   in
-  let rec go = function
-    | [] -> ()
-    | "--baseline" :: file :: rest ->
-        o.baseline <- file;
-        go rest
-    | "--alloc-tolerance" :: s :: rest ->
-        o.alloc_tolerance <- float_of_string s;
-        go rest
-    | "--speed-tolerance" :: s :: rest ->
-        o.speed_tolerance <- float_of_string s;
-        go rest
-    | "--json" :: file :: rest ->
-        o.json_out <- Some file;
-        go rest
-    | "--update" :: rest ->
-        o.update <- true;
-        go rest
-    | arg :: _ -> failwith (Printf.sprintf "unknown argument %S" arg)
+  let alloc_tolerance =
+    Arg.(
+      value & opt float 0.05
+      & info [ "alloc-tolerance" ] ~docv:"F"
+          ~doc:"Fractional headroom on minor words per event.")
   in
-  go (List.tl (Array.to_list Sys.argv));
-  o
+  let speed_tolerance =
+    Arg.(
+      value & opt float 2.0
+      & info [ "speed-tolerance" ] ~docv:"F"
+          ~doc:"Allowed slowdown factor on events/s and wall clock.")
+  in
+  let json_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "json" ] ~docv:"FILE" ~doc:"Also write the measured cells to $(docv).")
+  in
+  let update =
+    Arg.(value & flag & info [ "update" ] ~doc:"Rewrite the baseline instead of checking.")
+  in
+  let make baseline alloc_tolerance speed_tolerance json_out update =
+    if not (alloc_tolerance >= 0.) then
+      invalid_arg (Printf.sprintf "--alloc-tolerance must be >= 0 (got %g)" alloc_tolerance);
+    if not (speed_tolerance >= 1.) then
+      invalid_arg (Printf.sprintf "--speed-tolerance must be >= 1 (got %g)" speed_tolerance);
+    { baseline; alloc_tolerance; speed_tolerance; json_out; update }
+  in
+  Term.(const make $ baseline $ alloc_tolerance $ speed_tolerance $ json_out $ update)
 
 let read_file file =
   let ic = open_in_bin file in
@@ -142,11 +149,7 @@ let check o results =
       Printf.eprintf "perf gate: %d failure(s)\n" (List.length fs);
       exit 1
 
-let () =
-  let o = try parse_args () with Failure msg ->
-    Printf.eprintf "check_perf: %s\n" msg;
-    exit 2
-  in
+let main o =
   let results = Harness.Perf.run_all () in
   Harness.Perf.pp_table Format.std_formatter results;
   Format.pp_print_flush Format.std_formatter ();
@@ -158,3 +161,7 @@ let () =
     Printf.printf "wrote %s (%d cells)\n" o.baseline (List.length results)
   end
   else check o results
+
+let () =
+  let doc = "Check the bench perf cells against the committed perf baseline." in
+  exit (Cli.eval (Cmd.v (Cmd.info "check_perf" ~doc) Term.(const main $ options)))

@@ -13,50 +13,48 @@
      dune exec bench/check_regression.exe -- --update        -- regenerate baseline
      options: --baseline FILE --exe PATH --tolerance F --app NAME --nodes N *)
 
+open Cmdliner
+
 type options = {
-  mutable baseline : string;
-  mutable exe : string;
-  mutable tolerance : float;
-  mutable app : string;
-  mutable nodes : int;
-  mutable update : bool;
+  baseline : string;
+  exe : string;
+  tolerance : float;
+  app : string;
+  nodes : int;
+  update : bool;
 }
 
-let parse_args () =
-  let o =
-    {
-      baseline = "BENCH_baseline.json";
-      exe = "_build/default/bin/svm_run.exe";
-      tolerance = 0.05;
-      app = "lu";
-      nodes = 4;
-      update = false;
-    }
+let options =
+  let baseline =
+    Arg.(
+      value & opt string "BENCH_baseline.json"
+      & info [ "baseline" ] ~docv:"FILE" ~doc:"Baseline to check against or rewrite.")
   in
-  let rec go = function
-    | [] -> ()
-    | "--baseline" :: file :: rest ->
-        o.baseline <- file;
-        go rest
-    | "--exe" :: path :: rest ->
-        o.exe <- path;
-        go rest
-    | "--tolerance" :: s :: rest ->
-        o.tolerance <- float_of_string s;
-        go rest
-    | "--app" :: name :: rest ->
-        o.app <- name;
-        go rest
-    | "--nodes" :: s :: rest ->
-        o.nodes <- int_of_string s;
-        go rest
-    | "--update" :: rest ->
-        o.update <- true;
-        go rest
-    | arg :: _ -> failwith (Printf.sprintf "unknown argument %S" arg)
+  let exe =
+    Arg.(
+      value
+      & opt string "_build/default/bin/svm_run.exe"
+      & info [ "exe" ] ~docv:"PATH" ~doc:"The $(b,svm_run) executable to drive.")
   in
-  go (List.tl (Array.to_list Sys.argv));
-  o
+  let tolerance =
+    Arg.(
+      value & opt float 0.05
+      & info [ "tolerance" ] ~docv:"F" ~doc:"Allowed relative drift of each counter.")
+  in
+  let app_name =
+    Arg.(value & opt string "lu" & info [ "app" ] ~docv:"NAME" ~doc:"Application.")
+  in
+  let nodes = Arg.(value & opt int 4 & info [ "nodes" ] ~docv:"N" ~doc:"Simulated nodes.") in
+  let update =
+    Arg.(value & flag & info [ "update" ] ~doc:"Rewrite the baseline instead of checking.")
+  in
+  let make baseline exe tolerance app nodes update =
+    if not (tolerance >= 0.) then
+      invalid_arg (Printf.sprintf "--tolerance must be >= 0 (got %g)" tolerance);
+    if nodes < 1 then invalid_arg (Printf.sprintf "--nodes must be positive (got %d)" nodes);
+    { baseline; exe; tolerance; app; nodes; update }
+  in
+  Term.(const make $ baseline $ exe $ tolerance $ app_name $ nodes $ update)
 
 let read_file file =
   let ic = open_in_bin file in
@@ -154,10 +152,13 @@ let check_against_baseline o results =
       Printf.eprintf "benchmark regression gate: %d failure(s)\n" (List.length fs);
       exit 1
 
-let () =
-  let o = parse_args () in
+let main o =
   Printf.printf "benchmark regression gate: %s, %d nodes, scale test, seed 42\n" o.app o.nodes;
   let results =
     List.map (fun proto -> (proto, run_protocol o proto)) Svm.Config.protocol_strings
   in
   if o.update then write_baseline o results else check_against_baseline o results
+
+let () =
+  let doc = "Check the LU protocol counters against the committed baseline." in
+  exit (Cli.eval (Cmd.v (Cmd.info "check_regression" ~doc) Term.(const main $ options)))

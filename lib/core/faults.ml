@@ -77,25 +77,16 @@ let reapply_own_diffs sys node pi entry =
 (* ------------------------------------------------------------------ *)
 (* Home-based fetch                                                   *)
 
-(* Install a page copy received from the home, preserving any uncommitted
-   local writes (possible when a false-sharing invalidation hit a page the
-   node was still writing). Under write-through (AURC) the home copy
-   already contains them, so the snapshot installs as-is. *)
-let install_home_copy ~write_through entry (data : Mem.Words.t) =
-  match (entry.Mem.Page_table.dirty, entry.Mem.Page_table.twin) with
-  | true, Some twin ->
-      let own =
-        Mem.Diff.create ~page:entry.Mem.Page_table.page ~twin
-          ~current:(Mem.Page_table.data_exn entry)
-      in
-      entry.Mem.Page_table.data <- Some data;
-      entry.Mem.Page_table.twin <- Some (Mem.Words.copy data);
-      Mem.Diff.apply own data
-  | true, None when write_through -> entry.Mem.Page_table.data <- Some data
-  | true, None -> invalid_arg "install_home_copy: dirty page without twin"
-  | false, _ ->
-      entry.Mem.Page_table.data <- Some data;
-      entry.Mem.Page_table.twin <- None
+(* Install a snapshot received from the home and open the page up,
+   preserving any uncommitted local writes (possible when a false-sharing
+   invalidation hit a page the node was still writing). Under
+   write-through (AURC) the home copy already contains them. *)
+let install_home_copy sys node entry snapshot =
+  Mem.Page_table.install_copy node.pt entry snapshot ~write_through:(aurc sys)
+    ~dirty_without_twin:"install_home_copy: dirty page without twin";
+  entry.Mem.Page_table.prot <-
+    (if entry.Mem.Page_table.dirty then Mem.Page_table.Read_write
+     else Mem.Page_table.Read_only)
 
 let rec fetch_from_home sys node page ~on_valid =
   let c = costs sys in
@@ -142,7 +133,7 @@ let rec fetch_from_home sys node page ~on_valid =
               hentry.Mem.Page_table.prot <- Mem.Page_table.Read_only;
               d
         in
-        let snapshot = Mem.Words.copy master in
+        let snapshot = Mem.Words.Pool.take_copy sys.pool master in
         let hp = home_page sys home_node page in
         let flush = Proto.Vclock.copy hp.hp_flush in
         let bytes =
@@ -150,19 +141,18 @@ let rec fetch_from_home sys node page ~on_valid =
         in
         send sys ~src:home_node ~dst:node.id ~at:done_t ~bytes
           ~update:(Mem.Layout.page_bytes sys.layout) (fun reply_at ->
-            if node.fetch_gen = gen then begin
+            if node.fetch_gen <> gen then Mem.Words.Pool.release sys.pool snapshot
+            else begin
               Machine.Node.sync_to node.mach reply_at;
               (* The node may have flushed its own writes mid-fault (a remote
                  lock request ended its interval); if the snapshot predates
                  them, retry so they are not lost. *)
-              if not (Proto.Vclock.leq pi.needed flush) then
+              if not (Proto.Vclock.leq pi.needed flush) then begin
+                Mem.Words.Pool.release sys.pool snapshot;
                 fetch_from_home sys node page ~on_valid
+              end
               else begin
-                let entry = Mem.Page_table.ensure node.pt page in
-                install_home_copy ~write_through:(aurc sys) entry snapshot;
-                entry.Mem.Page_table.prot <-
-                  (if entry.Mem.Page_table.dirty then Mem.Page_table.Read_write
-                   else Mem.Page_table.Read_only);
+                install_home_copy sys node (Mem.Page_table.ensure node.pt page) snapshot;
                 on_valid ()
               end
             end)
@@ -259,7 +249,10 @@ let fetch_batch_from_home sys node page ~extras ~on_valid =
             (fun (q, vc) ->
               let hq = home_page sys home_node q in
               if Proto.Vclock.leq vc hq.hp_flush then
-                Some (q, Mem.Words.copy (master_of q), Proto.Vclock.copy hq.hp_flush)
+                Some
+                  ( q,
+                    Mem.Words.Pool.take_copy sys.pool (master_of q),
+                    Proto.Vclock.copy hq.hp_flush )
               else None)
             extra_needed
         in
@@ -267,7 +260,7 @@ let fetch_batch_from_home sys node page ~extras ~on_valid =
         let done_t =
           serve sys home_node ~arrival:at ~cost:(request_service_cost *. float_of_int pages)
         in
-        let snapshot = Mem.Words.copy (master_of page) in
+        let snapshot = Mem.Words.Pool.take_copy sys.pool (master_of page) in
         let hp = home_page sys home_node page in
         let flush = Proto.Vclock.copy hp.hp_flush in
         let vclock_bytes =
@@ -279,7 +272,10 @@ let fetch_batch_from_home sys node page ~extras ~on_valid =
           ~bytes:(header_bytes + (pages * pb) + vclock_bytes)
           ~update:(pages * pb)
           (fun reply_at ->
-            if node.fetch_gen <> gen then ()
+            if node.fetch_gen <> gen then begin
+              List.iter (fun (_, snap, _) -> Mem.Words.Pool.release sys.pool snap) served;
+              Mem.Words.Pool.release sys.pool snapshot
+            end
             else begin
             Machine.Node.sync_to node.mach reply_at;
             (* Install prefetched extras first; each re-checks that the
@@ -292,21 +288,15 @@ let fetch_batch_from_home sys node page ~extras ~on_valid =
                 if
                   entry.Mem.Page_table.prot = Mem.Page_table.No_access
                   && Proto.Vclock.leq qi.needed qflush
-                then begin
-                  install_home_copy ~write_through:(aurc sys) entry snap;
-                  entry.Mem.Page_table.prot <-
-                    (if entry.Mem.Page_table.dirty then Mem.Page_table.Read_write
-                     else Mem.Page_table.Read_only)
-                end)
+                then install_home_copy sys node entry snap
+                else Mem.Words.Pool.release sys.pool snap)
               served;
-            if not (Proto.Vclock.leq pi.needed flush) then
+            if not (Proto.Vclock.leq pi.needed flush) then begin
+              Mem.Words.Pool.release sys.pool snapshot;
               fetch_from_home sys node page ~on_valid
+            end
             else begin
-              let entry = Mem.Page_table.ensure node.pt page in
-              install_home_copy ~write_through:(aurc sys) entry snapshot;
-              entry.Mem.Page_table.prot <-
-                (if entry.Mem.Page_table.dirty then Mem.Page_table.Read_write
-                 else Mem.Page_table.Read_only);
+              install_home_copy sys node (Mem.Page_table.ensure node.pt page) snapshot;
               on_valid ()
             end
             end)
@@ -562,7 +552,7 @@ let fetch_full_page sys node page ~on_valid =
            taken, so any update pushed from now on reaches it (held in its
            backlog until the copy installs below). *)
         if eager_rc sys then register_copy sys node page;
-        let snapshot = Mem.Words.copy sdata in
+        let snapshot = Mem.Words.Pool.take_copy sys.pool sdata in
         let spi = page_info sys source_node page in
         let applied = Proto.Vclock.copy spi.applied in
         let bytes =
@@ -570,21 +560,11 @@ let fetch_full_page sys node page ~on_valid =
         in
         send sys ~src:source_node ~dst:node.id ~at:done_t ~bytes
           ~update:(Mem.Layout.page_bytes sys.layout) (fun reply_at ->
-            if node.fetch_gen <> gen then ()
+            if node.fetch_gen <> gen then Mem.Words.Pool.release sys.pool snapshot
             else begin
             Machine.Node.sync_to node.mach reply_at;
-            (match (entry.Mem.Page_table.dirty, entry.Mem.Page_table.twin) with
-            | true, Some twin ->
-                let own =
-                  Mem.Diff.create ~page ~twin ~current:(Mem.Page_table.data_exn entry)
-                in
-                entry.Mem.Page_table.data <- Some snapshot;
-                entry.Mem.Page_table.twin <- Some (Mem.Words.copy snapshot);
-                Mem.Diff.apply own snapshot
-            | true, None -> invalid_arg "fetch_full_page: dirty page without twin"
-            | false, _ ->
-                entry.Mem.Page_table.data <- Some snapshot;
-                entry.Mem.Page_table.twin <- None);
+            Mem.Page_table.install_copy node.pt entry snapshot ~write_through:false
+              ~dirty_without_twin:"fetch_full_page: dirty page without twin";
             Proto.Vclock.merge_into pi.applied applied;
             reapply_own_diffs sys node pi entry;
             (* Eager RC: updates that raced the transfer were parked in the
@@ -686,7 +666,7 @@ let make_writable sys node page =
       (* At home a twin is normally pointless (the master copy IS the
          page); with replicas the home keeps one anyway, so its own writes
          can be diffed at interval end and streamed to the backups. *)
-      Mem.Page_table.make_twin entry;
+      Mem.Page_table.make_twin node.pt entry;
       charge_protocol node c.Machine.Costs.twin_copy;
       Mem.Accounting.add node.stats.Stats.proto_mem (Mem.Layout.page_bytes sys.layout)
     end;

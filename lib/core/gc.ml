@@ -88,7 +88,7 @@ let sweep sys node ~k =
         (* Non-last-writer: drop the copy; future faults re-fetch from the
            keeper. *)
         if entry.Mem.Page_table.data <> None then begin
-          entry.Mem.Page_table.data <- None;
+          Mem.Page_table.drop_copy node.pt entry;
           entry.Mem.Page_table.prot <- Mem.Page_table.No_access;
           charge_gc node (costs sys).Machine.Costs.page_invalidate
         end;

@@ -160,7 +160,7 @@ let end_interval sys node =
             System.metrics_diff sys page;
             event sys node (Mem.Diff.created_event diff);
             let done_t = local_protocol_work sys node ~cost:(diff_create_cost c ~page_words) in
-            Mem.Page_table.drop_twin entry;
+            Mem.Page_table.drop_twin node.pt entry;
             Mem.Accounting.sub node.stats.Stats.proto_mem page_bytes;
             Mem.Accounting.add node.stats.Stats.proto_mem (Mem.Diff.size_bytes diff);
             Mem.Accounting.sub node.stats.Stats.proto_mem (Mem.Diff.size_bytes diff);
@@ -250,7 +250,7 @@ let end_interval sys node =
                      let done_t =
                        local_protocol_work sys node ~cost:(diff_create_cost c ~page_words)
                      in
-                     Mem.Page_table.drop_twin entry;
+                     Mem.Page_table.drop_twin node.pt entry;
                      Mem.Accounting.sub node.stats.Stats.proto_mem page_bytes;
                      (* Retain the diff here too, like any non-home writer:
                         the stream to the backups can be in flight (or
@@ -288,7 +288,7 @@ let end_interval sys node =
               let done_t =
                 local_protocol_work sys node ~cost:(diff_create_cost c ~page_words)
               in
-              Mem.Page_table.drop_twin entry;
+              Mem.Page_table.drop_twin node.pt entry;
               Mem.Accounting.sub node.stats.Stats.proto_mem page_bytes;
               Mem.Accounting.add node.stats.Stats.proto_mem (Mem.Diff.size_bytes diff);
               if replicated sys then begin
@@ -324,7 +324,7 @@ let end_interval sys node =
             System.metrics_diff sys page;
             event sys node (Mem.Diff.created_event diff);
             ignore (local_protocol_work sys node ~cost:(diff_create_cost c ~page_words));
-            Mem.Page_table.drop_twin entry;
+            Mem.Page_table.drop_twin node.pt entry;
             Mem.Accounting.sub node.stats.Stats.proto_mem page_bytes;
             Mem.Accounting.add node.stats.Stats.proto_mem (Mem.Diff.size_bytes diff);
             let vt =

@@ -83,7 +83,7 @@ let transfer sys ~page ~old_home ~new_home ~at =
     | Some d -> d
     | None -> Mem.Page_table.attach_copy old_node.pt hentry
   in
-  let snapshot = Mem.Words.copy master in
+  let snapshot = Mem.Words.Pool.take_copy sys.pool master in
   let hp_old = home_page sys old_node page in
   let flush = Proto.Vclock.copy hp_old.hp_flush in
   assert (hp_old.hp_pending = []);

@@ -192,6 +192,7 @@ type serving = {
 type t = {
   cfg : Config.t;
   layout : Mem.Layout.t;
+  pool : Mem.Words.Pool.t;  (* page buffers of every node's table *)
   engine : Sim.Engine.t;
   net : Machine.Network.t;
   nodes : node_state array;
@@ -398,6 +399,7 @@ let transport_notify t ~time (n : Machine.Transport.notice) =
 let create (cfg : Config.t) =
   let nprocs = cfg.Config.nprocs in
   let layout = Mem.Layout.create ~page_words:cfg.Config.page_words in
+  let pool = Mem.Words.Pool.create ~poison:cfg.Config.paranoid cfg.Config.page_words in
   let chaos =
     (* The heartbeat detector needs the chaos plan (and the transport it
        parameterizes) even when the plan itself is inert: its pings ride
@@ -412,7 +414,7 @@ let create (cfg : Config.t) =
       slowdown =
         (match chaos with Some ch -> Machine.Chaos.slowdown ch ~node:id | None -> 1.0);
       mach = Machine.Node.create id;
-      pt = Mem.Page_table.create layout;
+      pt = Mem.Page_table.create ~pool layout;
       pinfo = [||];
       vt = Proto.Vclock.create ~nprocs;
       dirty = [];
@@ -447,6 +449,7 @@ let create (cfg : Config.t) =
     {
       cfg;
       layout;
+      pool;
       (* Steady state pends a few events per node (timers, transfers,
          barrier wakeups), so seed the event set accordingly. *)
       engine = Sim.Engine.create ~capacity:(4 * cfg.Config.nprocs) ();
@@ -1123,7 +1126,7 @@ let deliver_repl_update t backup ~arrival ~page ~writer ~index diff =
     match rp.rp_data with
     | Some d -> d
     | None ->
-        let d = Mem.Words.make (Mem.Layout.page_words t.layout) in
+        let d = Mem.Words.Pool.take_zero t.pool in
         rp.rp_data <- Some d;
         Mem.Accounting.add backup.stats.Stats.proto_mem
           (Mem.Layout.page_words t.layout * Mem.Layout.word_bytes);

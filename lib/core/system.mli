@@ -161,6 +161,9 @@ type serving = {
 type t = {
   cfg : Config.t;
   layout : Mem.Layout.t;
+  pool : Mem.Words.Pool.t;
+      (** The run's page-buffer pool, shared by every node's page table
+          (poisoning released buffers under [paranoid]). *)
   engine : Sim.Engine.t;
   net : Machine.Network.t;
   nodes : node_state array;

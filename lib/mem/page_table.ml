@@ -10,9 +10,19 @@ type entry = {
   mutable mirror_pending : int;
 }
 
-type t = { layout : Layout.t; mutable entries : entry option array; mutable npages : int }
+type t = {
+  layout : Layout.t;
+  pool : Words.Pool.t;
+  mutable entries : entry option array;
+  mutable npages : int;
+}
 
-let create layout = { layout; entries = [||]; npages = 0 }
+let create ~pool layout =
+  if Words.Pool.page_words pool <> Layout.page_words layout then
+    invalid_arg
+      (Printf.sprintf "Page_table.create: %d-word pool for %d-word pages"
+         (Words.Pool.page_words pool) (Layout.page_words layout));
+  { layout; pool; entries = [||]; npages = 0 }
 
 let layout t = t.layout
 
@@ -63,13 +73,40 @@ let data_exn e =
   | None -> invalid_arg (Printf.sprintf "Page_table.data_exn: page %d not cached" e.page)
 
 let attach_copy t e =
-  let data = Words.make (Layout.page_words t.layout) in
+  let data = Words.Pool.take_zero t.pool in
   e.data <- Some data;
   data
 
-let make_twin e = e.twin <- Some (Words.copy (data_exn e))
+let make_twin t e = e.twin <- Some (Words.Pool.take_copy t.pool (data_exn e))
 
-let drop_twin e = e.twin <- None
+let drop_twin t e =
+  match e.twin with
+  | Some twin ->
+      e.twin <- None;
+      Words.Pool.release t.pool twin
+  | None -> ()
+
+let drop_copy t e =
+  match e.data with
+  | Some data ->
+      e.data <- None;
+      Words.Pool.release t.pool data
+  | None -> ()
+
+let install_copy t e data ~write_through ~dirty_without_twin =
+  let old = e.data in
+  (match (e.dirty, e.twin) with
+  | true, Some twin ->
+      (* Diff the uncommitted writes out of the old copy, rebase the twin
+         on the new one, and re-apply them on top. *)
+      let own = Diff.create ~page:e.page ~twin ~current:(data_exn e) in
+      Words.blit ~src:data ~dst:twin;
+      Diff.apply own data
+  | true, None when write_through -> ()
+  | true, None -> invalid_arg dirty_without_twin
+  | false, _ -> drop_twin t e);
+  e.data <- Some data;
+  match old with Some d -> Words.Pool.release t.pool d | None -> ()
 
 let iter t f =
   for page = 0 to t.npages - 1 do

@@ -21,7 +21,12 @@ type entry = {
 
 type t
 
-val create : Layout.t -> t
+(** [create ~pool layout]: every page-length buffer the table attaches
+    comes from [pool], and every one it drops goes back to it. One pool
+    serves all the tables of a run, since a fetched copy moves from one
+    node's table to another's.
+    @raise Invalid_argument if the pool's length is not the page length. *)
+val create : pool:Words.Pool.t -> Layout.t -> t
 
 val layout : t -> Layout.t
 
@@ -47,13 +52,28 @@ val cached_pages : t -> entry list
     @raise Invalid_argument if the page is not cached. *)
 val data_exn : entry -> Words.t
 
-(** Allocate and attach a zero-filled local copy. *)
+(** Attach a zero-filled local copy. *)
 val attach_copy : t -> entry -> Words.t
 
 (** Make a twin (clean copy) of the current data. *)
-val make_twin : entry -> unit
+val make_twin : t -> entry -> unit
 
-(** Drop the twin. *)
-val drop_twin : entry -> unit
+(** Drop the twin, if any, and release it to the pool. *)
+val drop_twin : t -> entry -> unit
+
+(** Drop the local copy, if any, and release it to the pool. *)
+val drop_copy : t -> entry -> unit
+
+(** [install_copy t e data ~write_through ~dirty_without_twin] makes [data]
+    (a buffer the caller owns, e.g. a fetched snapshot) the local copy and
+    releases the copy it displaces. Uncommitted local writes survive: a
+    dirty page's writes are diffed against its twin, the twin is refreshed
+    in place to [data], and the writes are re-applied on top. Under
+    [write_through] (AURC) the source copy already holds them, so a dirty
+    page without a twin installs as-is; otherwise a dirty page without a
+    twin raises [Invalid_argument dirty_without_twin]. A clean page's
+    twin, if any, is dropped. *)
+val install_copy :
+  t -> entry -> Words.t -> write_through:bool -> dirty_without_twin:string -> unit
 
 val iter : t -> (entry -> unit) -> unit

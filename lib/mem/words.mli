@@ -40,3 +40,38 @@ val to_array : t -> float array
 val iter : (float -> unit) -> t -> unit
 
 val iteri : (int -> float -> unit) -> t -> unit
+
+(** A free list of page-length buffers.
+
+    Page copies, twins and fetch snapshots all have one length and die at
+    known protocol points; recycling them there keeps the off-heap Bigarray
+    traffic (and the major collections it provokes) off the host. A pool
+    belongs to one run: it is not shared between domains and has no cap,
+    so it holds at most the run's peak number of released buffers. *)
+module Pool : sig
+  type words := t
+
+  type t
+
+  (** [create ?poison page_words]. With [poison], {!release} fills the
+      buffer with NaN, so a read through a released buffer shows up as a
+      corrupted value rather than a plausible stale one (a testing aid). *)
+  val create : ?poison:bool -> int -> t
+
+  val page_words : t -> int
+
+  (** A zero-filled buffer, recycled when one is free. *)
+  val take_zero : t -> words
+
+  (** A bit-exact copy of [src], recycled when a buffer is free.
+      @raise Invalid_argument if [src] is not page-length. *)
+  val take_copy : t -> words -> words
+
+  (** Return a dead buffer to the free list. The caller must hold the only
+      live reference to it.
+      @raise Invalid_argument if it is not page-length. *)
+  val release : t -> words -> unit
+
+  (** The buffers on the free list, most recently released last. *)
+  val iter_free : (words -> unit) -> t -> unit
+end

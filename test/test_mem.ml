@@ -1,5 +1,5 @@
-(* Unit and property tests for the memory substrate: layout, diffs, page
-   tables and accounting. *)
+(* Unit and property tests for the memory substrate: layout, diffs, the
+   page-buffer pool, page tables and accounting. *)
 
 let check = Alcotest.check
 
@@ -236,11 +236,87 @@ let prop_diff_merge_matches_reference =
       entries_new (Mem.Diff.merge d1_new d2_new) = entries_ref (Ref.merge d1_ref d2_ref))
 
 (* ------------------------------------------------------------------ *)
+(* Page-buffer pool *)
+
+let bits = Int64.bits_of_float
+
+let free_count pool =
+  let n = ref 0 in
+  Mem.Words.Pool.iter_free (fun _ -> incr n) pool;
+  !n
+
+let test_pool_recycles () =
+  let pool = Mem.Words.Pool.create 8 in
+  let a = Mem.Words.Pool.take_zero pool in
+  Mem.Words.Pool.release pool a;
+  check Alcotest.int "on the free list" 1 (free_count pool);
+  check Alcotest.bool "take_zero reuses it" true (Mem.Words.Pool.take_zero pool == a);
+  Mem.Words.Pool.release pool a;
+  check Alcotest.bool "take_copy reuses it" true
+    (Mem.Words.Pool.take_copy pool (Mem.Words.make 8) == a);
+  check Alcotest.int "free list drained" 0 (free_count pool)
+
+let test_pool_take_zero_clears () =
+  let pool = Mem.Words.Pool.create 8 in
+  let a = Mem.Words.Pool.take_zero pool in
+  Mem.Words.fill a (-3.5);
+  Mem.Words.set a 7 Float.nan;
+  Mem.Words.Pool.release pool a;
+  let b = Mem.Words.Pool.take_zero pool in
+  check Alcotest.bool "recycled" true (a == b);
+  Mem.Words.iter (fun v -> check Alcotest.int64 "zero bits" 0L (bits v)) b
+
+let test_pool_take_copy_bit_exact () =
+  let pool = Mem.Words.Pool.create 8 in
+  let src =
+    Mem.Words.of_array
+      [|
+        -0.0;
+        0.0;
+        Int64.float_of_bits 0x7ff8_0000_dead_beefL;
+        Int64.float_of_bits 0xfff8_0000_0000_0001L;
+        Float.infinity;
+        Float.neg_infinity;
+        Float.min_float;
+        1.5;
+      |]
+  in
+  let expect dst =
+    for i = 0 to 7 do
+      check Alcotest.int64 (Printf.sprintf "word %d" i) (bits (Mem.Words.get src i))
+        (bits (Mem.Words.get dst i))
+    done
+  in
+  let fresh = Mem.Words.Pool.take_copy pool src in
+  expect fresh;
+  Mem.Words.fill fresh 9.;
+  Mem.Words.Pool.release pool fresh;
+  let recycled = Mem.Words.Pool.take_copy pool src in
+  check Alcotest.bool "recycled" true (fresh == recycled);
+  expect recycled
+
+let test_pool_rejects_wrong_length () =
+  let pool = Mem.Words.Pool.create 8 in
+  Alcotest.check_raises "short buffer"
+    (Invalid_argument "Words.Pool.release: buffer of 4 words in a pool of 8-word pages")
+    (fun () -> Mem.Words.Pool.release pool (Mem.Words.make 4));
+  check Alcotest.int "nothing released" 0 (free_count pool)
+
+let test_pool_poison () =
+  let pool = Mem.Words.Pool.create ~poison:true 4 in
+  let a = Mem.Words.Pool.take_zero pool in
+  Mem.Words.Pool.release pool a;
+  Mem.Words.iter (fun v -> check Alcotest.bool "poisoned" true (Float.is_nan v)) a
+
+(* ------------------------------------------------------------------ *)
 (* Page table *)
 
+let table ?pool page_words =
+  let pool = Option.value pool ~default:(Mem.Words.Pool.create page_words) in
+  Mem.Page_table.create ~pool (Mem.Layout.create ~page_words)
+
 let test_page_table_ensure () =
-  let l = Mem.Layout.create ~page_words:64 in
-  let pt = Mem.Page_table.create l in
+  let pt = table 64 in
   let e = Mem.Page_table.ensure pt 5 in
   check Alcotest.int "page id" 5 e.Mem.Page_table.page;
   check Alcotest.bool "uncached" true (e.Mem.Page_table.data = None);
@@ -248,29 +324,68 @@ let test_page_table_ensure () =
   check Alcotest.int "npages" 6 (Mem.Page_table.npages pt)
 
 let test_page_table_entry_missing () =
-  let l = Mem.Layout.create ~page_words:64 in
-  let pt = Mem.Page_table.create l in
+  let pt = table 64 in
   Alcotest.check_raises "never touched"
     (Invalid_argument "Page_table.entry: page 0 out of range") (fun () ->
       ignore (Mem.Page_table.entry pt 0))
 
+let test_page_table_rejects_pool_length () =
+  Alcotest.check_raises "pool of another page size"
+    (Invalid_argument "Page_table.create: 16-word pool for 8-word pages") (fun () ->
+      ignore
+        (Mem.Page_table.create ~pool:(Mem.Words.Pool.create 16)
+           (Mem.Layout.create ~page_words:8)))
+
 let test_page_table_twin () =
-  let l = Mem.Layout.create ~page_words:8 in
-  let pt = Mem.Page_table.create l in
+  let pt = table 8 in
   let e = Mem.Page_table.ensure pt 0 in
   let data = Mem.Page_table.attach_copy pt e in
   Mem.Words.set data 0 7.;
-  Mem.Page_table.make_twin e;
+  Mem.Page_table.make_twin pt e;
   Mem.Words.set data 0 8.;
-  (match e.Mem.Page_table.twin with
-  | Some t -> check (Alcotest.float 0.) "twin keeps old value" 7. (Mem.Words.get t 0)
-  | None -> Alcotest.fail "twin missing");
-  Mem.Page_table.drop_twin e;
-  check Alcotest.bool "twin dropped" true (e.Mem.Page_table.twin = None)
+  let twin =
+    match e.Mem.Page_table.twin with
+    | Some t ->
+        check (Alcotest.float 0.) "twin keeps old value" 7. (Mem.Words.get t 0);
+        t
+    | None -> Alcotest.fail "twin missing"
+  in
+  Mem.Page_table.drop_twin pt e;
+  check Alcotest.bool "twin dropped" true (e.Mem.Page_table.twin = None);
+  check Alcotest.bool "twin back in the pool" true
+    (Mem.Page_table.attach_copy pt (Mem.Page_table.ensure pt 1) == twin)
+
+(* A fetched copy displaces a dirty page: the uncommitted write survives on
+   top of it, the twin is rebased in place, and the old copy is recycled. *)
+let test_page_table_install_copy () =
+  let pool = Mem.Words.Pool.create 8 in
+  let pt = table ~pool 8 in
+  let e = Mem.Page_table.ensure pt 0 in
+  let old = Mem.Page_table.attach_copy pt e in
+  Mem.Page_table.make_twin pt e;
+  let twin = Option.get e.Mem.Page_table.twin in
+  e.Mem.Page_table.dirty <- true;
+  Mem.Words.set old 2 5.;
+  let fetched = Mem.Words.of_array [| 1.; 1.; 1.; 1.; 1.; 1.; 1.; 1. |] in
+  Mem.Page_table.install_copy pt e fetched ~write_through:false ~dirty_without_twin:"x";
+  check Alcotest.bool "installed" true (Mem.Page_table.data_exn e == fetched);
+  check (Alcotest.float 0.) "own write kept" 5. (Mem.Words.get fetched 2);
+  check (Alcotest.float 0.) "fetched word" 1. (Mem.Words.get fetched 3);
+  check Alcotest.bool "twin rebased in place" true (Option.get e.Mem.Page_table.twin == twin);
+  check (Alcotest.float 0.) "twin is the fetched base" 1. (Mem.Words.get twin 2);
+  check Alcotest.int "old copy released" 1 (free_count pool);
+  e.Mem.Page_table.dirty <- false;
+  Mem.Page_table.install_copy pt e (Mem.Words.make 8) ~write_through:false
+    ~dirty_without_twin:"x";
+  check Alcotest.bool "clean install drops the twin" true (e.Mem.Page_table.twin = None);
+  check Alcotest.int "twin and copy released" 3 (free_count pool);
+  e.Mem.Page_table.dirty <- true;
+  Alcotest.check_raises "dirty without twin" (Invalid_argument "caller's message") (fun () ->
+      Mem.Page_table.install_copy pt e (Mem.Words.make 8) ~write_through:false
+        ~dirty_without_twin:"caller's message")
 
 let test_page_table_cached_pages () =
-  let l = Mem.Layout.create ~page_words:8 in
-  let pt = Mem.Page_table.create l in
+  let pt = table 8 in
   ignore (Mem.Page_table.ensure pt 0);
   let e1 = Mem.Page_table.ensure pt 1 in
   ignore (Mem.Page_table.attach_copy pt e1);
@@ -310,9 +425,16 @@ let suite =
     QCheck_alcotest.to_alcotest prop_diff_offsets_sorted;
     QCheck_alcotest.to_alcotest prop_diff_matches_reference;
     QCheck_alcotest.to_alcotest prop_diff_merge_matches_reference;
+    ("pool recycles", `Quick, test_pool_recycles);
+    ("pool take_zero clears", `Quick, test_pool_take_zero_clears);
+    ("pool take_copy bit-exact", `Quick, test_pool_take_copy_bit_exact);
+    ("pool rejects wrong length", `Quick, test_pool_rejects_wrong_length);
+    ("pool poison", `Quick, test_pool_poison);
     ("page table ensure", `Quick, test_page_table_ensure);
     ("page table missing entry", `Quick, test_page_table_entry_missing);
+    ("page table rejects pool length", `Quick, test_page_table_rejects_pool_length);
     ("page table twin", `Quick, test_page_table_twin);
+    ("page table install copy", `Quick, test_page_table_install_copy);
     ("page table cached pages", `Quick, test_page_table_cached_pages);
     ("accounting", `Quick, test_accounting);
   ]
