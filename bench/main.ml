@@ -29,6 +29,50 @@ open Cmdliner
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks of the hot protocol primitives             *)
 
+let bechamel_ns test =
+  let open Bechamel in
+  let instance = Toolkit.Instance.monotonic_clock in
+  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
+  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
+  let results = Analyze.all ols instance (Benchmark.all cfg [ instance ] test) in
+  Hashtbl.fold
+    (fun name result acc ->
+      (name, match Analyze.OLS.estimates result with Some [ est ] -> Some est | _ -> None)
+      :: acc)
+    results []
+
+(* The word-access path on hits, per word: one op is a sweep over four
+   valid, writable pages, by the per-word loop and by the page-run block
+   read. Measured inside a one-node run, where a ctx is live; a hit
+   performs no effect, so Bechamel can drive it directly. *)
+let api_micros () =
+  let open Bechamel in
+  let out = ref [] in
+  let body ctx =
+    let words = 4 * Svm.Api.page_words ctx in
+    let a = Svm.Api.malloc ctx words in
+    let buf = Array.make words 1.0 in
+    Svm.Api.write_block ctx ~addr:a ~len:words buf;
+    let sum = ref 0. in
+    let per_word test =
+      List.map
+        (fun (name, est) -> (name, Option.map (fun e -> e /. float_of_int words) est, "ns/word"))
+        (bechamel_ns test)
+    in
+    out :=
+      per_word
+        (Test.make ~name:"api-read"
+           (Staged.stage (fun () ->
+                for i = 0 to words - 1 do
+                  sum := !sum +. Svm.Api.read ctx (a + i)
+                done)))
+      @ per_word
+          (Test.make ~name:"api-read-block"
+             (Staged.stage (fun () -> Svm.Api.read_block ctx ~addr:a ~len:words buf)))
+  in
+  ignore (Svm.Runtime.run (Svm.Config.make ~nprocs:1 Svm.Config.Hlrc) body);
+  !out
+
 let micro () =
   let open Bechamel in
   let page_words = 1024 in
@@ -72,26 +116,16 @@ let micro () =
              done));
     ]
   in
-  let benchmark test =
-    let instance = Toolkit.Instance.monotonic_clock in
-    let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
-    Benchmark.all cfg [ instance ] test
-  in
-  let analyze results =
-    let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-    Analyze.all ols Toolkit.Instance.monotonic_clock results
-  in
   Format.printf "@.=== Micro-benchmarks (Bechamel) ===@.@.";
   List.iter
-    (fun test ->
-      let results = analyze (benchmark test) in
-      Hashtbl.iter
-        (fun name result ->
-          match Bechamel.Analyze.OLS.estimates result with
-          | Some [ est ] -> Format.printf "%-24s %12.1f ns/op@." name est
-          | _ -> Format.printf "%-24s (no estimate)@." name)
-        results)
-    tests
+    (fun (name, est, unit) ->
+      match est with
+      | Some est -> Format.printf "%-24s %12.1f %s@." name est unit
+      | None -> Format.printf "%-24s (no estimate)@." name)
+    (List.concat_map
+       (fun test -> List.map (fun (name, est) -> (name, est, "ns/op")) (bechamel_ns test))
+       tests
+    @ api_micros ())
 
 (* Machine-readable dump of every simulated cell (one per matrix entry). *)
 let dump_json file m =

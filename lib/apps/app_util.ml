@@ -17,9 +17,7 @@ let check_close ~what ?(tol = 1e-9) ~index expected actual =
 
 (* Deterministic pseudo-random doubles in [0, 1), identical for the
    simulated app and its sequential reference. *)
-let det_float ~seed i =
-  let rng = Sim.Rng.create ~seed:(seed + (i * 2654435761)) in
-  Sim.Rng.float rng 1.0
+let det_float ~seed i = Sim.Rng.seed_float (seed + (i * 2654435761))
 
 (* Partition [0, n) into [nparts] contiguous chunks; returns (start, stop)
    of chunk [part], stop exclusive. Remainders spread over the first
@@ -37,15 +35,3 @@ let owner_of ~n ~nparts i =
     if i >= lo && i < hi then part else find (part + 1)
   in
   if i < 0 || i >= n then invalid_arg "owner_of" else find 0
-
-(* Read a row of [len] shared words into a local buffer (models working in
-   registers/cache; the protocol only sees the page accesses). *)
-let read_block ctx ~addr ~len buf =
-  for i = 0 to len - 1 do
-    buf.(i) <- Svm.Api.read ctx (addr + i)
-  done
-
-let write_block ctx ~addr ~len buf =
-  for i = 0 to len - 1 do
-    Svm.Api.write ctx (addr + i) buf.(i)
-  done

@@ -23,9 +23,3 @@ val chunk : n:int -> nparts:int -> int -> int * int
 
 (** Owner of index [i] under the same partitioning. *)
 val owner_of : n:int -> nparts:int -> int -> int
-
-(** Read [len] shared words starting at [addr] into [buf] (models working
-    on registers/cache; the protocol sees only the page accesses). *)
-val read_block : Svm.Api.ctx -> addr:int -> len:int -> float array -> unit
-
-val write_block : Svm.Api.ctx -> addr:int -> len:int -> float array -> unit

@@ -159,7 +159,7 @@ let body ?(verify = true) p ctx =
       else Svm.Api.malloc ctx ~name:"lu.a" (p.n * p.n)
     in
     let init = init_matrix p in
-    Array.iteri (fun i v -> Svm.Api.write ctx (a + i) v) init
+    Svm.Api.write_block ctx ~addr:a ~len:(Array.length init) init
   end;
   Svm.Api.barrier ctx;
   Svm.Api.start_timing ctx;
@@ -172,10 +172,10 @@ let body ?(verify = true) p ctx =
   let buf_c = Array.make bwords 0. in
   for k = 0 to nb - 1 do
     if mine k k then begin
-      App_util.read_block ctx ~addr:(addr k k) ~len:bwords buf_diag;
+      Svm.Api.read_block ctx ~addr:(addr k k) ~len:bwords buf_diag;
       factor_diag p.block buf_diag;
       Svm.Api.compute ctx (flops_factor p.block *. p.flop_us);
-      App_util.write_block ctx ~addr:(addr k k) ~len:bwords buf_diag
+      Svm.Api.write_block ctx ~addr:(addr k k) ~len:bwords buf_diag
     end;
     Svm.Api.barrier ctx;
     let have_perimeter =
@@ -184,21 +184,21 @@ let body ?(verify = true) p ctx =
         (fun x -> x)
         (List.init (nb - k - 1) (fun d -> mine k (k + 1 + d) || mine (k + 1 + d) k))
     in
-    if have_perimeter then App_util.read_block ctx ~addr:(addr k k) ~len:bwords buf_diag;
+    if have_perimeter then Svm.Api.read_block ctx ~addr:(addr k k) ~len:bwords buf_diag;
     for j = k + 1 to nb - 1 do
       if mine k j then begin
-        App_util.read_block ctx ~addr:(addr k j) ~len:bwords buf_row;
+        Svm.Api.read_block ctx ~addr:(addr k j) ~len:bwords buf_row;
         solve_row p.block buf_diag buf_row;
         Svm.Api.compute ctx (flops_solve p.block *. p.flop_us);
-        App_util.write_block ctx ~addr:(addr k j) ~len:bwords buf_row
+        Svm.Api.write_block ctx ~addr:(addr k j) ~len:bwords buf_row
       end
     done;
     for i = k + 1 to nb - 1 do
       if mine i k then begin
-        App_util.read_block ctx ~addr:(addr i k) ~len:bwords buf_col;
+        Svm.Api.read_block ctx ~addr:(addr i k) ~len:bwords buf_col;
         solve_col p.block buf_diag buf_col;
         Svm.Api.compute ctx (flops_solve p.block *. p.flop_us);
-        App_util.write_block ctx ~addr:(addr i k) ~len:bwords buf_col
+        Svm.Api.write_block ctx ~addr:(addr i k) ~len:bwords buf_col
       end
     done;
     Svm.Api.barrier ctx;
@@ -208,14 +208,14 @@ let body ?(verify = true) p ctx =
         List.exists (fun x -> x) (List.init (nb - k - 1) (fun d -> mine i (k + 1 + d)))
       in
       if row_needed then begin
-        App_util.read_block ctx ~addr:(addr i k) ~len:bwords buf_col;
+        Svm.Api.read_block ctx ~addr:(addr i k) ~len:bwords buf_col;
         for j = k + 1 to nb - 1 do
           if mine i j then begin
-            App_util.read_block ctx ~addr:(addr k j) ~len:bwords buf_row;
-            App_util.read_block ctx ~addr:(addr i j) ~len:bwords buf_c;
+            Svm.Api.read_block ctx ~addr:(addr k j) ~len:bwords buf_row;
+            Svm.Api.read_block ctx ~addr:(addr i j) ~len:bwords buf_c;
             matmul_sub p.block buf_col buf_row buf_c;
             Svm.Api.compute ctx (flops_matmul p.block *. p.flop_us);
-            App_util.write_block ctx ~addr:(addr i j) ~len:bwords buf_c
+            Svm.Api.write_block ctx ~addr:(addr i j) ~len:bwords buf_c
           end
         done
       end
@@ -224,9 +224,10 @@ let body ?(verify = true) p ctx =
   done;
   if verify && me = 0 then begin
     let expected = Lazy.force reference in
-    for i = 0 to (p.n * p.n) - 1 do
-      App_util.check_close ~what:"lu.a" ~tol:1e-9 ~index:i expected.(i)
-        (Svm.Api.read ctx (a + i))
-    done
+    let got = Array.make (p.n * p.n) 0. in
+    Svm.Api.read_block ctx ~addr:a ~len:(p.n * p.n) got;
+    Array.iteri
+      (fun i v -> App_util.check_close ~what:"lu.a" ~tol:1e-9 ~index:i expected.(i) v)
+      got
   end;
   Svm.Api.barrier ctx

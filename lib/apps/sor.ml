@@ -55,10 +55,12 @@ let body ?(verify = true) p ctx =
     let rows_per_page = max 1 (Svm.Api.page_words ctx / p.cols) in
     let home page = App_util.owner_of ~n:p.rows ~nparts:np (min (p.rows - 1) (page * rows_per_page)) in
     let a = Svm.Api.malloc ctx ~name:"sor.a" ~home (p.rows * p.cols) in
+    let row = Array.make p.cols 0. in
     for i = 0 to p.rows - 1 do
       for j = 0 to p.cols - 1 do
-        Svm.Api.write ctx (a + (i * p.cols) + j) (init_value p i j)
-      done
+        row.(j) <- init_value p i j
+      done;
+      Svm.Api.write_block ctx ~addr:(a + (i * p.cols)) ~len:p.cols row
     done
   end;
   Svm.Api.barrier ctx;
@@ -89,9 +91,10 @@ let body ?(verify = true) p ctx =
   done;
   if verify && me = 0 then begin
     let expected = Lazy.force reference in
-    for idx = 0 to (p.rows * p.cols) - 1 do
-      App_util.check_close ~what:"sor.a" ~tol:1e-12 ~index:idx expected.(idx)
-        (Svm.Api.read ctx (a + idx))
-    done
+    let got = Array.make (p.rows * p.cols) 0. in
+    Svm.Api.read_block ctx ~addr:a ~len:(p.rows * p.cols) got;
+    Array.iteri
+      (fun idx v -> App_util.check_close ~what:"sor.a" ~tol:1e-12 ~index:idx expected.(idx) v)
+      got
   end;
   Svm.Api.barrier ctx

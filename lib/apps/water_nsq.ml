@@ -129,7 +129,7 @@ let body ?(verify = true) p ctx =
     Svm.Api.barrier ctx;
     (* Read all positions once (coarse-grained reads, as in the original),
        then accumulate pair forces locally. *)
-    App_util.read_block ctx ~addr:pos ~len:(3 * n) local_pos;
+    Svm.Api.read_block ctx ~addr:pos ~len:(3 * n) local_pos;
     Array.fill acc 0 (3 * n) 0.;
     for i = lo to hi - 1 do
       for d = 1 to half_shell n i do

@@ -48,9 +48,36 @@ val root : ctx -> string -> int
 (** Pages spanned by / page of an address, for building home maps. *)
 val page_words : ctx -> int
 
+(** [read ctx addr] loads one word. Each access charges the configured
+    per-word memory-access cost (times the node's straggler multiplier) as
+    computation; an access to an invalid page first faults and runs the
+    protocol. On a miss the address is checked against the allocated
+    shared space (all pages handed out by {!malloc} so far).
+    @raise Invalid_argument naming the address and the allocated range if
+    [addr] is outside it. *)
 val read : ctx -> int -> float
 
+(** [write ctx addr v] stores one word, charged and checked like {!read};
+    a store to a page that is not writable faults first. *)
 val write : ctx -> int -> float -> unit
+
+(** [read_block ctx ~addr ~len buf] loads the [len] words at
+    [addr, addr + len) into [buf.(0) .. buf.(len - 1)]: observably the loop
+    [buf.(i) <- read ctx (addr + i)], with the same per-word charge and
+    the same faults at the same simulated times, but one page lookup and
+    one protection check per page run, and no boxing. A run's fault (and
+    the address check) happens at its first word, after that word's charge
+    and before the rest of the run is charged.
+    @raise Invalid_argument before any word moves if [len < 0] or
+    [len > Array.length buf]; when a run's address is outside the shared
+    space, as {!read}. *)
+val read_block : ctx -> addr:int -> len:int -> float array -> unit
+
+(** [write_block ctx ~addr ~len buf] stores [buf.(0) .. buf.(len - 1)] at
+    [addr, addr + len): observably [write ctx (addr + i) buf.(i)] for each
+    [i] in order, with one write fault at most per page run (at its first
+    word). Bounds as {!read_block}. *)
+val write_block : ctx -> addr:int -> len:int -> float array -> unit
 
 (** Integer convenience wrappers ([float] words store integers exactly up to
     2{^53}). *)

@@ -343,6 +343,11 @@ val home_page : t -> node_state -> int -> home_page
 
 val charge_compute : node_state -> float -> unit
 
+(** [charge_compute_n node dt n] is [n] successive [charge_compute node dt]
+    calls, bit for bit (the additions are not folded into one [n *. dt]);
+    a no-op for [n <= 0]. *)
+val charge_compute_n : node_state -> float -> int -> unit
+
 val charge_protocol : node_state -> float -> unit
 
 val charge_gc : node_state -> float -> unit

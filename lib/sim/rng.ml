@@ -12,7 +12,7 @@ let next_seed t =
   t.state <- Int64.add t.state golden_gamma;
   t.state
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -39,10 +39,14 @@ let int t bound =
   in
   draw ()
 
-let float t bound =
-  let bits = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
-  (* 2^53 possible values in [0, 1). *)
-  bound *. (bits /. 9007199254740992.0)
+(* The top 53 bits of [bits] as a double in [0, 1) (2^53 possible
+   values). *)
+let[@inline] unit_float bits =
+  Int64.to_float (Int64.shift_right_logical bits 11) /. 9007199254740992.0
+
+let float t bound = bound *. unit_float (bits64 t)
+
+let seed_float seed = unit_float (mix64 (Int64.add (Int64.of_int seed) golden_gamma))
 
 (* Zipfian sampler after Gray et al., "Quickly generating billion-record
    synthetic databases" (SIGMOD 1994), as popularized by YCSB: the

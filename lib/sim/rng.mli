@@ -22,6 +22,12 @@ val float : t -> float -> float
 (** [bits64 t] draws 64 uniformly random bits. *)
 val bits64 : t -> int64
 
+(** [seed_float seed] is [float (create ~seed) 1.0], bit for bit, computed
+    straight from the splitmix mix without building a generator: a
+    deterministic hash of [seed] to [0, 1) that allocates nothing but its
+    boxed result. *)
+val seed_float : int -> float
+
 (** {1 Zipfian sampling}
 
     Constant-time Zipfian rank sampler after Gray et al. (SIGMOD 1994),

@@ -133,8 +133,20 @@ let test_chunk_partition () =
       check Alcotest.int "covers everything" n !total)
     [ (10, 3); (96, 8); (7, 7); (5, 8) ]
 
+(* [det_float] is computed straight from the splitmix mix; it must stay
+   bit-identical to the generator formula it replaced, or every app's
+   input (and so every golden digest) would move. *)
+let prop_det_float_formula =
+  QCheck.Test.make ~name:"det_float == Rng.create + Rng.float 1.0" ~count:1000
+    QCheck.(pair int (int_range 0 1_000_000))
+    (fun (seed, i) ->
+      let old = Sim.Rng.float (Sim.Rng.create ~seed:(seed + (i * 2654435761))) 1.0 in
+      Int64.equal (Int64.bits_of_float old)
+        (Int64.bits_of_float (Apps.App_util.det_float ~seed i)))
+
 let suite =
   [
+    QCheck_alcotest.to_alcotest prop_det_float_formula;
     ("lu factorization is correct", `Quick, test_lu_factorization_correct);
     ("sor boundary fixed", `Quick, test_sor_reference_fixed_boundary);
     ("sor zero interior stays inactive", `Quick, test_sor_zero_interior_inactive);

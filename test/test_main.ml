@@ -8,6 +8,7 @@ let () =
       ("machine", Test_machine.suite);
       ("system", Test_system.suite);
       ("runtime", Test_runtime.suite);
+      ("access", Test_access.suite);
       ("protocols", Test_protocols.suite);
       ("sync", Test_sync.suite);
       ("gc", Test_gc.suite);

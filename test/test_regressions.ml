@@ -161,10 +161,68 @@ let test_deep_chain_apply_order () =
     (fun protocol -> ignore (Svm.Runtime.run (Svm.Config.make ~nprocs:8 protocol) app))
     Svm.Config.all_protocols
 
+(* Bug 5: accesses outside the shared space. A read far past a 16-word
+   [malloc] returned 0., a write with nothing allocated "succeeded" through
+   [home_of]'s fallback for untouched pages, and a read of address -1
+   asked the page table to grow to page 2^53 and died with
+   [Out_of_memory]. Every accessor now fails on its miss path with a
+   one-line [Invalid_argument] naming the address and the allocated range
+   (the pages handed out so far). *)
+let out_of_range ~what ?(alloc = 0) access =
+  let msg = ref None in
+  ignore
+    (Svm.Runtime.run (Svm.Config.make ~nprocs:1 Svm.Config.Hlrc) (fun ctx ->
+         let base = if alloc > 0 then Svm.Api.malloc ctx alloc else 0 in
+         try access ctx base with Invalid_argument m -> msg := Some m));
+  match !msg with
+  | None -> Alcotest.failf "%s: no Invalid_argument" what
+  | Some m ->
+      check Alcotest.bool (what ^ ": one line") false (String.contains m '\n');
+      m
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let test_read_past_malloc () =
+  let pw = (Svm.Config.make ~nprocs:1 Svm.Config.Hlrc).Svm.Config.page_words in
+  let m =
+    out_of_range ~what:"read past malloc" ~alloc:16 (fun ctx a ->
+        ignore (Svm.Api.read ctx (a + 5000)))
+  in
+  check Alcotest.bool "names the address" true (contains m "5000");
+  check Alcotest.bool "names the range" true (contains m (Printf.sprintf "[0, %d)" pw));
+  ignore
+    (out_of_range ~what:"read_block past malloc" ~alloc:16 (fun ctx a ->
+         Svm.Api.read_block ctx ~addr:(a + 8) ~len:6000 (Array.make 6000 0.)))
+
+let test_write_unallocated () =
+  let m =
+    out_of_range ~what:"write unallocated" (fun ctx _ -> Svm.Api.write ctx 100000 1.)
+  in
+  check Alcotest.bool "names the address" true (contains m "100000");
+  check Alcotest.bool "names the empty range" true (contains m "[0, 0)");
+  ignore
+    (out_of_range ~what:"write_block unallocated" (fun ctx _ ->
+         Svm.Api.write_block ctx ~addr:100000 ~len:2 [| 1.; 2. |]))
+
+let test_negative_address () =
+  let m =
+    out_of_range ~what:"read -1" ~alloc:16 (fun ctx _ -> ignore (Svm.Api.read ctx (-1)))
+  in
+  check Alcotest.bool "names the address" true (contains m "-1");
+  ignore
+    (out_of_range ~what:"write_block at -1" ~alloc:16 (fun ctx _ ->
+         Svm.Api.write_block ctx ~addr:(-1) ~len:2 [| 1.; 2. |]))
+
 let suite =
   [
     ("fault retry race (lost write)", `Quick, test_fault_retry_race);
     ("write-notice batch ordering", `Quick, test_notice_batch_ordering);
     ("keeper survives repeated GC", `Quick, test_keeper_survives_gc);
     ("deep chain apply order", `Quick, test_deep_chain_apply_order);
+    ("read past malloc rejected", `Quick, test_read_past_malloc);
+    ("write to unallocated space rejected", `Quick, test_write_unallocated);
+    ("negative address rejected", `Quick, test_negative_address);
   ]
