@@ -20,6 +20,10 @@
    event, wall clock) and --perf-out FILE writes them as JSON for the CI
    perf gate.
 
+   hostprof samples the host call stack of one cell (--hostprof-cell,
+   e.g. kvstore/lrc) and prints leaf and inclusive shares per function;
+   its output is host-dependent, so `all` leaves it out.
+
    Parallelism: --jobs N evaluates independent cells on N domains
    (default: recommended_domain_count - 1). Output is byte-identical to
    --jobs 1. *)
@@ -83,6 +87,19 @@ let micro () =
     if i mod 16 = 0 then Mem.Words.set sparse i (Mem.Words.get sparse i +. 1.0);
     Mem.Words.set dense i (Mem.Words.get dense i +. 1.0)
   done;
+  (* One dirty word in the page: the full-page scan, and the page table's
+     ranged diff over the word it marked. *)
+  let one_pt =
+    Mem.Page_table.create ~pool:(Mem.Words.Pool.create page_words)
+      (Mem.Layout.create ~page_words)
+  in
+  let one = Mem.Page_table.ensure one_pt 0 in
+  let one_data = Mem.Page_table.attach_copy one_pt one in
+  Mem.Words.blit ~src:twin ~dst:one_data;
+  Mem.Page_table.make_twin one_pt one;
+  Mem.Words.set one_data 517 (-1.0);
+  Mem.Page_table.mark_written one ~lo:517 ~hi:517;
+  let one_twin = Option.get one.Mem.Page_table.twin in
   let sparse_diff = Mem.Diff.create ~page:0 ~twin ~current:sparse in
   let dense_diff = Mem.Diff.create ~page:0 ~twin ~current:dense in
   let target = Mem.Words.copy twin in
@@ -97,6 +114,11 @@ let micro () =
         (Staged.stage (fun () -> ignore (Mem.Diff.create ~page:0 ~twin ~current:sparse)));
       Test.make ~name:"diff-create-dense"
         (Staged.stage (fun () -> ignore (Mem.Diff.create ~page:0 ~twin ~current:dense)));
+      Test.make ~name:"diff-create-1w-page"
+        (Staged.stage (fun () ->
+             ignore (Mem.Diff.create ~page:0 ~twin:one_twin ~current:one_data)));
+      Test.make ~name:"diff-create-1w-range"
+        (Staged.stage (fun () -> ignore (Mem.Page_table.diff one_pt one)));
       Test.make ~name:"diff-apply-sparse"
         (Staged.stage (fun () -> Mem.Diff.apply sparse_diff target));
       Test.make ~name:"diff-apply-dense"
@@ -126,6 +148,43 @@ let micro () =
        (fun test -> List.map (fun (name, est) -> (name, est, "ns/op")) (bechamel_ns test))
        tests
     @ api_micros ())
+
+(* The hostprof artifact's cells, APP/PROTO: one kvstore or LU run on the
+   first --nodes count under the shared knobs, sampled by
+   [Harness.Hostprof]. *)
+let hostprof_cells =
+  let kvstore (c : Cli.common) = Apps.Registry.kvstore_of_params (Cli.kvstore_params c) in
+  let lu (c : Cli.common) = Apps.Registry.lu c.scale in
+  List.concat_map
+    (fun (app, make) ->
+      List.filter_map
+        (fun p ->
+          Option.map
+            (fun proto -> (app ^ "/" ^ p, (make, proto)))
+            (Svm.Config.protocol_of_string p))
+        Svm.Config.protocol_strings)
+    [ ("kvstore", kvstore); ("lu", lu) ]
+
+let hostprof_cell_doc =
+  "Cell the hostprof artifact samples, as APP/PROTO with APP kvstore or lu (e.g. \
+   kvstore/lrc); it runs on the first --nodes count under the shared knobs. hostprof is \
+   a SIGPROF call-stack sampler (ITIMER_PROF, 0.5 ms of CPU time) printing leaf and \
+   inclusive shares per function; its output is host-dependent, so it is not part of \
+   all. Known bias: a sample lands at the next poll point, and a poll point with no \
+   debug info (a loop's back edge) is charged to the function containing it, so a loop \
+   inside a closure shows up as its caller (e.g. Intervals.end_interval.(fun))."
+
+let hostprof ppf (c : Cli.common) ~nprocs cell =
+  let make, proto = List.assoc cell hostprof_cells in
+  let cfg =
+    Svm.Config.make ~chaos:c.chaos ~fault_batch:c.fault_batch ~trace_cap:c.trace_cap ~nprocs
+      proto
+  in
+  Format.fprintf ppf "@.=== Host profile (SIGPROF call-stack samples) ===@.@.";
+  Format.fprintf ppf "%s on %d nodes, scale %s: " cell nprocs (Apps.Registry.scale_name c.scale);
+  let body = (make c).Apps.Registry.body ~verify:c.verify in
+  let _, p = Harness.Hostprof.run (fun () -> Svm.Runtime.run cfg body) in
+  Harness.Hostprof.pp ppf p
 
 (* Machine-readable dump of every simulated cell (one per matrix entry). *)
 let dump_json file m =
@@ -162,6 +221,7 @@ type ctx = {
   c : Cli.common;
   nodes : int list;
   perf_out : string option;
+  cell : string;
   m : Harness.Matrix.t;
   pool : Harness.Pool.t;
   failures : int ref;
@@ -271,19 +331,20 @@ let artifacts =
           Perf.pp_table x.ppf results;
           Option.iter (fun file -> write_perf file results) x.perf_out );
       ("micro", true, fun _ -> micro ());
+      ("hostprof", false, fun x -> hostprof x.ppf x.c ~nprocs:(one_np x) x.cell);
     ]
   in
   List.map (fun (name, _, render) -> (name, render)) rows
   @ [ ("all", fun x -> List.iter (fun (_, in_all, render) -> if in_all then render x) rows) ]
 
-let main c nodes jobs perf_out renders =
+let main c nodes jobs perf_out cell renders =
   let ppf = Format.std_formatter in
   let sink = Option.map (fun _ -> Obs.Trace.create_sink ~capacity:c.Cli.trace_cap ()) c.trace_out in
   let m =
     Harness.Matrix.create ~verify:c.verify ?sink ~chaos:c.chaos ~fault_batch:c.fault_batch
       ~metrics_interval:c.metrics_interval ~scale:c.scale ()
   in
-  let x = { ppf; c; nodes; perf_out; m; pool = Harness.Pool.create ~jobs; failures = ref 0 } in
+  let x = { ppf; c; nodes; perf_out; cell; m; pool = Harness.Pool.create ~jobs; failures = ref 0 } in
   Harness.Matrix.on_progress m (fun s -> Format.eprintf "  [%s]@." s);
   List.iter (fun render -> render x) renders;
   Option.iter (fun file -> dump_json file m) c.json_out;
@@ -310,6 +371,12 @@ let cmd =
     let doc = "Write the perf artifact's cells to $(docv) as JSON." in
     Arg.(value & opt (some string) None & info [ "perf-out" ] ~docv:"FILE" ~doc)
   in
+  let cell =
+    Arg.(
+      value
+      & opt (enum (List.map (fun (name, _) -> (name, name)) hostprof_cells)) "kvstore/hlrc"
+      & info [ "hostprof-cell" ] ~docv:"APP/PROTO" ~doc:hostprof_cell_doc)
+  in
   let renders =
     Cli.positionals ~docv:"ARTIFACT" ~doc:"Artifacts to regenerate (default all)."
       ~default:[ "all" ] artifacts
@@ -317,6 +384,6 @@ let cmd =
   let doc = "regenerate the paper's tables and figures on the simulated SVM system" in
   Cmd.v (Cmd.info "bench" ~doc)
     Term.(
-      const main $ Cli.common $ term_result' nodes $ jobs $ perf_out $ renders)
+      const main $ Cli.common $ term_result' nodes $ jobs $ perf_out $ cell $ renders)
 
 let () = exit (Cli.eval cmd)

@@ -90,6 +90,10 @@ let write ctx addr value =
   let entry = writable ctx "write" addr in
   let off = addr land ctx.mask in
   Mem.Words.unsafe_set (Mem.Page_table.data_exn entry) off value;
+  (* [Page_table.mark_written], inline: the interval's diff scans only the
+     written range. *)
+  if off < entry.Mem.Page_table.lo then entry.Mem.Page_table.lo <- off;
+  if off > entry.Mem.Page_table.hi then entry.Mem.Page_table.hi <- off;
   (* AURC automatic update: the store is snooped off the bus and performed
      on the home's master copy with no software overhead (paper 2.2). *)
   match entry.Mem.Page_table.mirror with
@@ -101,10 +105,11 @@ let write ctx addr value =
 (* Block accessors: the same accesses as the per-word loop over
    [addr, addr + len), one page run at a time. A run charges its first
    word, looks the page up (faulting as [read]/[write] would), then charges
-   the other [n - 1] words and moves all [n] unboxed. No event can run
-   between two hits, so this is observably the per-word loop: the same
-   charges in the same order, the same faults at the same clock. [len] is
-   checked against the buffer before anything moves. *)
+   the other [n - 1] words and moves all [n] unboxed; a written run widens
+   the page's written range once. No event can run between two hits, so
+   this is observably the per-word loop: the same charges in the same
+   order, the same faults at the same clock. [len] is checked against the
+   buffer before anything moves. *)
 
 let check_len fn len buf =
   if len < 0 || len > Array.length buf then
@@ -150,6 +155,7 @@ let write_block ctx ~addr ~len (buf : float array) =
     for o = off to off + n - 1 do
       Mem.Words.unsafe_set data o (Array.unsafe_get buf (base + o))
     done;
+    Mem.Page_table.mark_written entry ~lo:off ~hi:(off + n - 1);
     (match entry.Mem.Page_table.mirror with
     | None -> ()
     | Some home_copy ->

@@ -149,12 +149,7 @@ let end_interval sys node =
             (* Eager RC (paper 2, Munin-style): diff the page and push the
                update to every other node caching it; the acknowledgements
                gate this node's next lock handoff or barrier arrival. *)
-            let twin =
-              match entry.Mem.Page_table.twin with
-              | Some t -> t
-              | None -> invalid_arg "end_interval: dirty page without twin"
-            in
-            let diff = Mem.Diff.create ~page ~twin ~current:(Mem.Page_table.data_exn entry) in
+            let diff = Mem.Page_table.diff node.pt entry in
             node.stats.Stats.c.Stats.diffs_created <-
               node.stats.Stats.c.Stats.diffs_created + 1;
             System.metrics_diff sys page;
@@ -237,50 +232,39 @@ let end_interval sys node =
                  under either scheme — a dead primary's writes have no
                  surviving writer to re-flush them. *)
               let hp = home_page sys node page in
-              (if replicated sys then
-                 match entry.Mem.Page_table.twin with
-                 | Some twin ->
-                     let diff =
-                       Mem.Diff.create ~page ~twin ~current:(Mem.Page_table.data_exn entry)
-                     in
-                     node.stats.Stats.c.Stats.diffs_created <-
-                       node.stats.Stats.c.Stats.diffs_created + 1;
-                     System.metrics_diff sys page;
-                     event sys node (Mem.Diff.created_event diff);
-                     let done_t =
-                       local_protocol_work sys node ~cost:(diff_create_cost c ~page_words)
-                     in
-                     Mem.Page_table.drop_twin node.pt entry;
-                     Mem.Accounting.sub node.stats.Stats.proto_mem page_bytes;
-                     (* Retain the diff here too, like any non-home writer:
-                        the stream to the backups can be in flight (or
-                        silenced by a gray failure) at the moment a
-                        suspicion quorum deposes this node, and the
-                        promotion pull must then be able to recover the
-                        ex-home's own writes from the ex-home itself. *)
-                     Mem.Accounting.add node.stats.Stats.proto_mem
-                       (Mem.Diff.size_bytes diff);
-                     let prev =
-                       try Hashtbl.find node.own_diffs page with Not_found -> []
-                     in
-                     Hashtbl.replace node.own_diffs page
-                       ((index, diff, Proto.Vclock.copy node.vt) :: prev);
-                     propagate_update sys node ~page ~writer:node.id ~index ~diff
-                       ~vt:(Some (Proto.Vclock.copy node.vt)) ~at:done_t ~payload:true
-                 | None -> ());
+              (if replicated sys && entry.Mem.Page_table.twin <> None then begin
+                let diff = Mem.Page_table.diff node.pt entry in
+                node.stats.Stats.c.Stats.diffs_created <-
+                  node.stats.Stats.c.Stats.diffs_created + 1;
+                System.metrics_diff sys page;
+                event sys node (Mem.Diff.created_event diff);
+                let done_t =
+                  local_protocol_work sys node ~cost:(diff_create_cost c ~page_words)
+                in
+                Mem.Page_table.drop_twin node.pt entry;
+                Mem.Accounting.sub node.stats.Stats.proto_mem page_bytes;
+                (* Retain the diff here too, like any non-home writer:
+                   the stream to the backups can be in flight (or
+                   silenced by a gray failure) at the moment a
+                   suspicion quorum deposes this node, and the
+                   promotion pull must then be able to recover the
+                   ex-home's own writes from the ex-home itself. *)
+                Mem.Accounting.add node.stats.Stats.proto_mem
+                  (Mem.Diff.size_bytes diff);
+                let prev =
+                  try Hashtbl.find node.own_diffs page with Not_found -> []
+                in
+                Hashtbl.replace node.own_diffs page
+                  ((index, diff, Proto.Vclock.copy node.vt) :: prev);
+                propagate_update sys node ~page ~writer:node.id ~index ~diff
+                  ~vt:(Some (Proto.Vclock.copy node.vt)) ~at:done_t ~payload:true
+              end);
               Proto.Vclock.set hp.hp_flush node.id index;
               finish_page entry;
               serve_pending_fetches hp ~at:node.mach.Machine.Node.ck.Machine.Node.clock
             end
             else begin
-              let twin =
-                match entry.Mem.Page_table.twin with
-                | Some t -> t
-                | None -> invalid_arg "end_interval: dirty page without twin"
-              in
-              let diff =
-                Mem.Diff.create ~page ~twin ~current:(Mem.Page_table.data_exn entry)
-              in
+              let diff = Mem.Page_table.diff node.pt entry in
               node.stats.Stats.c.Stats.diffs_created <-
                 node.stats.Stats.c.Stats.diffs_created + 1;
               System.metrics_diff sys page;
@@ -313,12 +297,7 @@ let end_interval sys node =
           end
           else begin
             (* Homeless: create the diff and retain it until GC. *)
-            let twin =
-              match entry.Mem.Page_table.twin with
-              | Some t -> t
-              | None -> invalid_arg "end_interval: dirty page without twin"
-            in
-            let diff = Mem.Diff.create ~page ~twin ~current:(Mem.Page_table.data_exn entry) in
+            let diff = Mem.Page_table.diff node.pt entry in
             node.stats.Stats.c.Stats.diffs_created <-
               node.stats.Stats.c.Stats.diffs_created + 1;
             System.metrics_diff sys page;

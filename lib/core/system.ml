@@ -414,7 +414,7 @@ let create (cfg : Config.t) =
       slowdown =
         (match chaos with Some ch -> Machine.Chaos.slowdown ch ~node:id | None -> 1.0);
       mach = Machine.Node.create id;
-      pt = Mem.Page_table.create ~pool layout;
+      pt = Mem.Page_table.create ~paranoid:cfg.Config.paranoid ~node:id ~pool layout;
       pinfo = [||];
       vt = Proto.Vclock.create ~nprocs;
       dirty = [];

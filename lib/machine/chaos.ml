@@ -191,14 +191,17 @@ type verdict = {
 type t = {
   p : params;
   nprocs : int;
-  links : (int, Sim.Rng.t) Hashtbl.t;  (* src * nprocs + dst -> stream *)
-  backoff : (int, Sim.Rng.t) Hashtbl.t;  (* link -> RTO-jitter stream *)
+  links : Sim.Rng.t array;  (* src * nprocs + dst -> verdict stream *)
+  backoff : Sim.Rng.t array;  (* src * nprocs + dst -> RTO-jitter stream *)
   slowdowns : float array;  (* per-node CPU multiplier, drawn at create *)
   parts : (bool array * float * float) array;  (* membership, from, until *)
   scratch : verdict;  (* pooled: [judge] refills and returns this record *)
 }
 
 let params t = t.p
+
+(* The placeholder of a link that has not drawn yet (compared by address). *)
+let unseeded = Sim.Rng.create ~seed:0
 
 let enabled_t t = enabled t.p
 
@@ -232,21 +235,24 @@ let create p ~nprocs =
   {
     p;
     nprocs;
-    links = Hashtbl.create 64;
-    backoff = Hashtbl.create 64;
+    links = Array.make (nprocs * nprocs) unseeded;
+    backoff = Array.make (nprocs * nprocs) unseeded;
     slowdowns;
     parts;
     scratch = { drop = false; duplicate = false; delay = 0.; dup_delay = 0. };
   }
 
-let link_rng t ~src ~dst =
-  let key = (src * t.nprocs) + dst in
-  match Hashtbl.find_opt t.links key with
-  | Some rng -> rng
-  | None ->
-      let rng = Sim.Rng.create ~seed:((t.p.fault_seed * 0x10001) + key) in
-      Hashtbl.replace t.links key rng;
-      rng
+(* A link's stream is seeded on its first draw: most runs use few of the
+   nprocs^2 links, and a stream depends only on its seed, so when it is
+   built changes no draw. *)
+let[@inline] stream streams ~key ~seed =
+  let rng = streams.(key) in
+  if rng != unseeded then rng
+  else begin
+    let rng = Sim.Rng.create ~seed in
+    streams.(key) <- rng;
+    rng
+  end
 
 let one_delay t rng =
   if t.p.jitter = 0. then 0.
@@ -256,7 +262,8 @@ let one_delay t rng =
   end
 
 let judge t ~src ~dst =
-  let rng = link_rng t ~src ~dst in
+  let key = (src * t.nprocs) + dst in
+  let rng = stream t.links ~key ~seed:((t.p.fault_seed * 0x10001) + key) in
   let v = t.scratch in
   (* Fixed draw order so the stream stays aligned across outcomes. *)
   v.drop <- t.p.drop_rate > 0. && Sim.Rng.float rng 1.0 < t.p.drop_rate;
@@ -271,15 +278,7 @@ let judge t ~src ~dst =
    fires, and without jitter they retransmit in lockstep. *)
 let backoff_factor t ~src ~dst =
   let key = (src * t.nprocs) + dst in
-  let rng =
-    match Hashtbl.find_opt t.backoff key with
-    | Some rng -> rng
-    | None ->
-        let rng = Sim.Rng.create ~seed:((t.p.fault_seed * 0x3d0f5) + key + 0x42b) in
-        Hashtbl.replace t.backoff key rng;
-        rng
-  in
-  0.75 +. Sim.Rng.float rng 0.5
+  0.75 +. Sim.Rng.float (stream t.backoff ~key ~seed:((t.p.fault_seed * 0x3d0f5) + key + 0x42b)) 0.5
 
 let severed_t t ~src ~dst ~time =
   let n = Array.length t.parts in

@@ -15,7 +15,7 @@ let entry_bytes = 12 (* 4-byte offset + 8-byte word *)
    without going through [Int64.bits_of_float] (which boxes), and NaNs,
    where the old payload-exact comparison is kept (rare enough to box).
 
-   This comparison is written inline in [create]'s loops rather than as a
+   This comparison is written inline in [scan]'s loops rather than as a
    helper: without flambda a call with float arguments boxes both floats,
    which measured at ~10 minor words per compared word. *)
 
@@ -27,14 +27,12 @@ let size_bytes t = header_bytes + (entry_bytes * Array.length t.offsets)
    operation (the node and timestamp attribution live with the caller). *)
 let created_event t = Obs.Trace.Diff_create { page = t.page; words = word_count t; bytes = size_bytes t }
 
-(* Two passes — count, then fill exactly-sized arrays — so creation never
-   builds an intermediate list. *)
-let create ~page ~twin ~current =
-  let n = Words.length current in
-  if Words.length twin <> n then
-    invalid_arg "Diff.create: twin and current differ in length";
+(* The one scan loop: the words of [lo, hi] whose bits differ between
+   [twin] and [current]. Two passes — count, then fill exactly-sized
+   arrays — so creation never builds an intermediate list. *)
+let scan ~page ~twin ~current ~lo ~hi =
   let count = ref 0 in
-  for i = 0 to n - 1 do
+  for i = lo to hi do
     let a = Words.unsafe_get twin i and b = Words.unsafe_get current i in
     let same =
       if a = b then a <> 0.0 || 1.0 /. a = 1.0 /. b
@@ -45,7 +43,7 @@ let create ~page ~twin ~current =
   let offsets = Array.make !count 0 in
   let values = Array.make !count 0.0 in
   let j = ref 0 in
-  for i = 0 to n - 1 do
+  for i = lo to hi do
     let a = Words.unsafe_get twin i and b = Words.unsafe_get current i in
     let same =
       if a = b then a <> 0.0 || 1.0 /. a = 1.0 /. b
@@ -58,6 +56,23 @@ let create ~page ~twin ~current =
     end
   done;
   { page; offsets; values }
+
+let check_lengths fn ~twin ~current =
+  let n = Words.length current in
+  if Words.length twin <> n then invalid_arg (fn ^ ": twin and current differ in length");
+  n
+
+let create ~page ~twin ~current =
+  let n = check_lengths "Diff.create" ~twin ~current in
+  scan ~page ~twin ~current ~lo:0 ~hi:(n - 1)
+
+let create_range ~page ~twin ~current ~lo ~hi =
+  let n = check_lengths "Diff.create_range" ~twin ~current in
+  if lo > hi then { page; offsets = [||]; values = [||] }
+  else if lo < 0 || hi >= n then
+    invalid_arg
+      (Printf.sprintf "Diff.create_range: range [%d, %d] outside the page's [0, %d)" lo hi n)
+  else scan ~page ~twin ~current ~lo ~hi
 
 let apply ?obs t data =
   let n = Words.length data in

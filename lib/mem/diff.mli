@@ -14,6 +14,14 @@ type t = private { page : int; offsets : int array; values : float array }
     matching memcmp-based diffing. Both must have equal length. *)
 val create : page:int -> twin:Words.t -> current:Words.t -> t
 
+(** [create_range ~page ~twin ~current ~lo ~hi] is {!create} restricted to
+    the words [lo .. hi]: the same scan, over the range only. It equals
+    {!create} whenever [twin] and [current] agree bit for bit outside the
+    range. An empty range ([lo > hi]) gives the empty diff.
+    @raise Invalid_argument if a non-empty range leaves the page, or the
+    lengths differ. *)
+val create_range : page:int -> twin:Words.t -> current:Words.t -> lo:int -> hi:int -> t
+
 (** [apply ?obs t data] writes the diff's words into [data]. When [obs] is
     given, a typed {!Obs.Trace.Diff_apply} event (page, changed words, wire
     bytes) is emitted through it — the structured-observability hook the

@@ -8,21 +8,25 @@ type entry = {
   mutable dirty : bool;
   mutable mirror : Words.t option;
   mutable mirror_pending : int;
+  mutable lo : int;
+  mutable hi : int;
 }
 
 type t = {
   layout : Layout.t;
   pool : Words.Pool.t;
+  paranoid : bool;
+  node : int;
   mutable entries : entry option array;
   mutable npages : int;
 }
 
-let create ~pool layout =
+let create ?(paranoid = false) ?(node = 0) ~pool layout =
   if Words.Pool.page_words pool <> Layout.page_words layout then
     invalid_arg
       (Printf.sprintf "Page_table.create: %d-word pool for %d-word pages"
          (Words.Pool.page_words pool) (Layout.page_words layout));
-  { layout; pool; entries = [||]; npages = 0 }
+  { layout; pool; paranoid; node; entries = [||]; npages = 0 }
 
 let layout t = t.layout
 
@@ -52,6 +56,8 @@ let ensure t page =
           dirty = false;
           mirror = None;
           mirror_pending = 0;
+          lo = Layout.page_words t.layout;
+          hi = -1;
         }
       in
       t.entries.(page) <- Some e;
@@ -77,7 +83,14 @@ let attach_copy t e =
   e.data <- Some data;
   data
 
-let make_twin t e = e.twin <- Some (Words.Pool.take_copy t.pool (data_exn e))
+let mark_written e ~lo ~hi =
+  if lo < e.lo then e.lo <- lo;
+  if hi > e.hi then e.hi <- hi
+
+let make_twin t e =
+  e.twin <- Some (Words.Pool.take_copy t.pool (data_exn e));
+  e.lo <- Layout.page_words t.layout;
+  e.hi <- -1
 
 let drop_twin t e =
   match e.twin with
@@ -93,13 +106,40 @@ let drop_copy t e =
       Words.Pool.release t.pool data
   | None -> ()
 
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Paranoid runs scan the whole page as well: a data mutation that skipped
+   the written range (or a twin it failed to mirror) shows up here. *)
+let check_range t e ~twin ~current d =
+  let full = Diff.create ~page:e.page ~twin ~current in
+  let agree =
+    full.Diff.offsets = d.Diff.offsets
+    && Array.for_all2 same_bits full.Diff.values d.Diff.values
+  in
+  if not agree then
+    failwith
+      (Printf.sprintf
+         "Page_table.diff: node %d page %d: ranged diff over [%d, %d] has %d words, the \
+          full-page scan %d"
+         t.node e.page e.lo e.hi (Diff.word_count d) (Diff.word_count full))
+
+let diff t e =
+  match e.twin with
+  | None -> invalid_arg (Printf.sprintf "Page_table.diff: page %d has no twin" e.page)
+  | Some twin ->
+      let current = data_exn e in
+      let d = Diff.create_range ~page:e.page ~twin ~current ~lo:e.lo ~hi:e.hi in
+      if t.paranoid then check_range t e ~twin ~current d;
+      d
+
 let install_copy t e data ~write_through ~dirty_without_twin =
   let old = e.data in
   (match (e.dirty, e.twin) with
   | true, Some twin ->
       (* Diff the uncommitted writes out of the old copy, rebase the twin
-         on the new one, and re-apply them on top. *)
-      let own = Diff.create ~page:e.page ~twin ~current:(data_exn e) in
+         on the new one, and re-apply them on top. The written range stays:
+         outside it, data and twin are both the new copy. *)
+      let own = diff t e in
       Words.blit ~src:data ~dst:twin;
       Diff.apply own data
   | true, None when write_through -> ()

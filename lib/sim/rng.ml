@@ -2,26 +2,37 @@
    generators", OOPSLA 2014. Chosen because it is tiny, fast, splittable and
    has well-understood statistical quality. *)
 
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in an 8-byte buffer: reading and writing
+   it through the [%caml_bytes_*64u] primitives keeps a draw free of the
+   [Int64] box a [mutable state : int64] field would allocate per update. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create ~seed = { state = Int64.of_int seed }
+let of_state state =
+  let t = Bytes.create 8 in
+  set64 t 0 state;
+  t
 
-let next_seed t =
-  t.state <- Int64.add t.state golden_gamma;
-  t.state
+let create ~seed = of_state (Int64.of_int seed)
+
+let[@inline] next_seed t =
+  let s = Int64.add (get64 t 0) golden_gamma in
+  set64 t 0 s;
+  s
 
 let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let bits64 t = mix64 (next_seed t)
+let[@inline] bits64 t = mix64 (next_seed t)
 
-let split t =
-  let seed = bits64 t in
-  { state = seed }
+let split t = of_state (bits64 t)
 
 (* Rejection sampling over 63 uniform bits (Java's nextInt idiom): draw,
    reduce, and retry whenever the draw falls in the short tail
@@ -31,13 +42,13 @@ let split t =
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   let b = Int64.of_int bound in
-  let rec draw () =
+  let result = ref (-1) in
+  while !result < 0 do
     let bits = Int64.shift_right_logical (bits64 t) 1 in
     let r = Int64.rem bits b in
-    if Int64.compare (Int64.add (Int64.sub bits r) (Int64.sub b 1L)) 0L < 0 then draw ()
-    else Int64.to_int r
-  in
-  draw ()
+    if Int64.add (Int64.sub bits r) (Int64.sub b 1L) >= 0L then result := Int64.to_int r
+  done;
+  !result
 
 (* The top 53 bits of [bits] as a double in [0, 1) (2^53 possible
    values). *)

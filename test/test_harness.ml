@@ -134,6 +134,27 @@ let test_parallel_determinism () =
   check Alcotest.bool "trace events identical" true (e1 = e4);
   check Alcotest.int "trace drop count identical" d1 d4
 
+(* The sampler sees CPU time, and leaves no timer or handler behind. *)
+let test_hostprof_samples_and_restores () =
+  let before = Sys.signal Sys.sigprof Sys.Signal_default in
+  let spin () =
+    let t0 = Sys.time () and n = ref 0 in
+    while Sys.time () -. t0 < 0.1 do
+      incr n
+    done;
+    !n
+  in
+  let n, p = Harness.Hostprof.run spin in
+  check Alcotest.bool "result returned" true (n > 0);
+  check Alcotest.bool "samples taken" true (p.Harness.Hostprof.samples > 0);
+  check Alcotest.bool "leaf shares cover the samples" true
+    (List.fold_left (fun a (_, k) -> a + k) 0 p.Harness.Hostprof.leaf
+    = p.Harness.Hostprof.samples);
+  check (Alcotest.float 0.) "timer disarmed" 0.
+    (Unix.getitimer Unix.ITIMER_PROF).Unix.it_value;
+  check Alcotest.bool "handler restored" true
+    (Sys.signal Sys.sigprof before = Sys.Signal_default)
+
 let suite =
   [
     ("matrix caches runs", `Quick, test_matrix_caches);
@@ -143,4 +164,5 @@ let suite =
     ("all tables render", `Slow, test_tables_render);
     ("memory headline", `Quick, test_memory_headline);
     ("protocol traffic headline", `Quick, test_protocol_traffic_headline);
+    ("hostprof samples and restores", `Quick, test_hostprof_samples_and_restores);
   ]

@@ -366,6 +366,7 @@ let test_page_table_install_copy () =
   let twin = Option.get e.Mem.Page_table.twin in
   e.Mem.Page_table.dirty <- true;
   Mem.Words.set old 2 5.;
+  Mem.Page_table.mark_written e ~lo:2 ~hi:2;
   let fetched = Mem.Words.of_array [| 1.; 1.; 1.; 1.; 1.; 1.; 1.; 1. |] in
   Mem.Page_table.install_copy pt e fetched ~write_through:false ~dirty_without_twin:"x";
   check Alcotest.bool "installed" true (Mem.Page_table.data_exn e == fetched);
@@ -383,6 +384,129 @@ let test_page_table_install_copy () =
   Alcotest.check_raises "dirty without twin" (Invalid_argument "caller's message") (fun () ->
       Mem.Page_table.install_copy pt e (Mem.Words.make 8) ~write_through:false
         ~dirty_without_twin:"caller's message")
+
+(* The ranged diff of [Page_table.diff] against the full-page
+   [Diff.create], over random histories of everything that mutates a
+   twinned page: marked word and block stores, twin creation and release,
+   remote diffs applied to data and twin alike, and installed copies. The
+   written range must also be exactly the words stored since the twin was
+   made: a range that only ever grows would still diff correctly, but would
+   scan what was not written. *)
+type pt_op =
+  | Store of int * float
+  | Store_block of int * float array
+  | Twin  (** make a twin if there is none, else diff and drop it *)
+  | Remote of (int * float) list
+  | Install of float array
+
+let pt_words = 16
+
+let pt_word_gen =
+  QCheck.Gen.(
+    frequency
+      [ (1, return (Int64.float_of_bits 0x7ff8_0000_dead_beefL)); (6, word_gen) ])
+
+let pt_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, map2 (fun o v -> Store (o, v)) (int_bound (pt_words - 1)) pt_word_gen);
+        ( 3,
+          map2
+            (fun o vs -> Store_block (o, vs))
+            (int_bound (pt_words - 1))
+            (array_size (int_range 1 6) pt_word_gen) );
+        (2, return Twin);
+        ( 2,
+          map (fun ws -> Remote ws)
+            (list_size (int_bound 4) (pair (int_bound (pt_words - 1)) pt_word_gen)) );
+        (1, map (fun a -> Install a) (page_gen pt_words));
+      ])
+
+let pp_pt_op = function
+  | Store (o, v) -> Printf.sprintf "store %d %h" o v
+  | Store_block (o, vs) -> Printf.sprintf "block %d (%d words)" o (Array.length vs)
+  | Twin -> "twin"
+  | Remote ws -> Printf.sprintf "remote (%d words)" (List.length ws)
+  | Install _ -> "install"
+
+let prop_ranged_diff_matches_full =
+  QCheck.Test.make ~name:"ranged diff == full-page diff" ~count:500
+    (QCheck.make ~print:(QCheck.Print.list pp_pt_op)
+       QCheck.Gen.(list_size (int_range 1 40) pt_op_gen))
+    (fun ops ->
+      let pt = table pt_words in
+      let e = Mem.Page_table.ensure pt 0 in
+      ignore (Mem.Page_table.attach_copy pt e);
+      (* The model's written range since the last twin. *)
+      let lo = ref pt_words and hi = ref (-1) in
+      let mark l h =
+        Mem.Page_table.mark_written e ~lo:l ~hi:h;
+        lo := min !lo l;
+        hi := max !hi h
+      in
+      let agrees () =
+        match e.Mem.Page_table.twin with
+        | None -> true
+        | Some twin ->
+            let current = Mem.Page_table.data_exn e in
+            entries_new (Mem.Page_table.diff pt e)
+            = entries_new (Mem.Diff.create ~page:0 ~twin ~current)
+            &&
+            let elo = e.Mem.Page_table.lo and ehi = e.Mem.Page_table.hi in
+            (elo > ehi && !lo > !hi) || (elo = !lo && ehi = !hi)
+      in
+      let step op =
+        let data = Mem.Page_table.data_exn e in
+        (match op with
+        | Store (o, v) ->
+            Mem.Words.set data o v;
+            mark o o
+        | Store_block (o, vs) ->
+            let n = min (Array.length vs) (pt_words - o) in
+            Array.iteri (fun i v -> if i < n then Mem.Words.set data (o + i) v) vs;
+            mark o (o + n - 1)
+        | Twin when e.Mem.Page_table.twin = None ->
+            Mem.Page_table.make_twin pt e;
+            e.Mem.Page_table.dirty <- true;
+            lo := pt_words;
+            hi := -1
+        | Twin ->
+            ignore (Mem.Page_table.diff pt e);
+            Mem.Page_table.drop_twin pt e;
+            e.Mem.Page_table.dirty <- false
+        | Remote ws ->
+            let d =
+              Mem.Diff.create ~page:0 ~twin:data ~current:(apply_writes data ws)
+            in
+            Mem.Diff.apply d data;
+            Option.iter (Mem.Diff.apply d) e.Mem.Page_table.twin
+        | Install a ->
+            Mem.Page_table.install_copy pt e (Mem.Words.of_array a) ~write_through:false
+              ~dirty_without_twin:"dirty page without twin");
+        agrees ()
+      in
+      List.for_all step ops)
+
+(* A store that skips the marking API escapes the ranged diff; a paranoid
+   table's full-page cross-check names it. *)
+let test_page_table_paranoid_diff () =
+  let pt =
+    Mem.Page_table.create ~paranoid:true ~node:3 ~pool:(Mem.Words.Pool.create 8)
+      (Mem.Layout.create ~page_words:8)
+  in
+  let e = Mem.Page_table.ensure pt 5 in
+  let data = Mem.Page_table.attach_copy pt e in
+  Mem.Page_table.make_twin pt e;
+  Mem.Words.set data 1 1.;
+  Mem.Page_table.mark_written e ~lo:1 ~hi:1;
+  check Alcotest.int "marked store diffed" 1 (Mem.Diff.word_count (Mem.Page_table.diff pt e));
+  Mem.Words.set data 6 2.;
+  Alcotest.check_raises "unmarked store"
+    (Failure
+       "Page_table.diff: node 3 page 5: ranged diff over [1, 1] has 1 words, the full-page \
+        scan 2")
+    (fun () -> ignore (Mem.Page_table.diff pt e))
 
 let test_page_table_cached_pages () =
   let pt = table 8 in
@@ -435,6 +559,8 @@ let suite =
     ("page table rejects pool length", `Quick, test_page_table_rejects_pool_length);
     ("page table twin", `Quick, test_page_table_twin);
     ("page table install copy", `Quick, test_page_table_install_copy);
+    QCheck_alcotest.to_alcotest prop_ranged_diff_matches_full;
+    ("page table paranoid diff", `Quick, test_page_table_paranoid_diff);
     ("page table cached pages", `Quick, test_page_table_cached_pages);
     ("accounting", `Quick, test_accounting);
   ]

@@ -270,6 +270,49 @@ let prop_rng_float_range =
       let x = Sim.Rng.float r 1.0 in
       x >= 0.0 && x < 1.0)
 
+(* The unboxed generator draws exactly the reference model's streams. Large
+   [int] bounds (above 2^63 / 3) reject up to a third of their draws, so
+   the retry path is exercised as well as the common one. *)
+type rng_op = Bits | Int of int | Float of float | Split
+
+let rng_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, return Bits);
+        (3, map (fun b -> Int b) (int_range 1 1000));
+        (2, map (fun b -> Int b) (int_range (max_int / 3 * 2) max_int));
+        (1, map (fun b -> Int b) (int_range 1 max_int));
+        (3, map (fun b -> Float b) (oneof [ float; return 1.0; return (-0.0) ]));
+        (1, return Split);
+      ])
+
+let pp_rng_op = function
+  | Bits -> "bits64"
+  | Int b -> Printf.sprintf "int %d" b
+  | Float b -> Printf.sprintf "float %h" b
+  | Split -> "split"
+
+let prop_rng_matches_reference =
+  QCheck.Test.make ~name:"rng draws the boxed reference model's streams" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(pair int (list pp_rng_op))
+       QCheck.Gen.(pair int (list_size (int_range 0 200) rng_op_gen)))
+    (fun (seed, ops) ->
+      let bits = Int64.bits_of_float in
+      let rec go fast slow = function
+        | [] -> Sim.Rng.bits64 fast = Rng_ref.bits64 slow
+        | Bits :: rest -> Sim.Rng.bits64 fast = Rng_ref.bits64 slow && go fast slow rest
+        | Int b :: rest -> Sim.Rng.int fast b = Rng_ref.int slow b && go fast slow rest
+        | Float b :: rest ->
+            bits (Sim.Rng.float fast b) = bits (Rng_ref.float slow b) && go fast slow rest
+        | Split :: rest ->
+            (* Both the child and the advanced parent must stay aligned. *)
+            let fast' = Sim.Rng.split fast and slow' = Rng_ref.split slow in
+            Sim.Rng.bits64 fast = Rng_ref.bits64 slow && go fast' slow' rest
+      in
+      go (Sim.Rng.create ~seed) (Rng_ref.create ~seed) ops)
+
 let test_rng_mean () =
   let r = Sim.Rng.create ~seed:11 in
   let n = 10000 in
@@ -361,6 +404,7 @@ let suite =
     ("rng split independent", `Quick, test_rng_split_independent);
     QCheck_alcotest.to_alcotest prop_rng_int_range;
     QCheck_alcotest.to_alcotest prop_rng_float_range;
+    QCheck_alcotest.to_alcotest prop_rng_matches_reference;
     ("rng mean", `Quick, test_rng_mean);
     ("engine ordering", `Quick, test_engine_ordering);
     ("engine now advances", `Quick, test_engine_now_advances);
