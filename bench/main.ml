@@ -103,6 +103,7 @@ let micro () =
   let sparse_diff = Mem.Diff.create ~page:0 ~twin ~current:sparse in
   let dense_diff = Mem.Diff.create ~page:0 ~twin ~current:dense in
   let target = Mem.Words.copy twin in
+  let twin_pool = Mem.Words.Pool.create page_words in
   let vt_a = Proto.Vclock.create ~nprocs:64 in
   let vt_b = Proto.Vclock.create ~nprocs:64 in
   for i = 0 to 63 do
@@ -123,19 +124,19 @@ let micro () =
         (Staged.stage (fun () -> Mem.Diff.apply sparse_diff target));
       Test.make ~name:"diff-apply-dense"
         (Staged.stage (fun () -> Mem.Diff.apply dense_diff target));
-      Test.make ~name:"twin-copy" (Staged.stage (fun () -> ignore (Mem.Words.copy twin)));
+      Test.make ~name:"twin-copy"
+        (Staged.stage (fun () ->
+             Mem.Words.Pool.release twin_pool (Mem.Words.Pool.take_copy twin_pool twin)));
       Test.make ~name:"vclock-merge"
         (Staged.stage (fun () -> Proto.Vclock.merge_into vt_a vt_b));
       Test.make ~name:"vclock-leq" (Staged.stage (fun () -> ignore (Proto.Vclock.leq vt_a vt_b)));
       Test.make ~name:"event-queue-push-pop"
         (Staged.stage (fun () ->
-             let q = Sim.Cqueue.create ~capacity:64 () in
+             let e = Sim.Engine.create ~capacity:64 () in
              for i = 0 to 63 do
-               Sim.Cqueue.push q ~key:(float_of_int ((i * 7919) mod 101)) i
+               Sim.Engine.schedule e ~at:(float_of_int ((i * 7919) mod 101)) ignore
              done;
-             while not (Sim.Cqueue.is_empty q) do
-               ignore (Sim.Cqueue.pop_min q)
-             done));
+             ignore (Sim.Engine.run e)));
     ]
   in
   Format.printf "@.=== Micro-benchmarks (Bechamel) ===@.@.";

@@ -41,6 +41,7 @@ type link = {
   l_dst : int;
   mutable l_next_seq : int;  (* sender: next sequence number to assign *)
   l_inflight : (int, packet) Hashtbl.t;  (* sender: sent, not yet acked *)
+  mutable l_acked : int;  (* sender: every seq <= this was cumulatively acked *)
   mutable l_expected : int;  (* receiver: next in-order sequence number *)
   l_reorder : (int, float -> unit) Hashtbl.t;  (* receiver: seq -> handler *)
   mutable l_last_deliver : float;  (* receiver: FIFO clamp *)
@@ -117,6 +118,7 @@ let link t ~src ~dst =
           l_dst = dst;
           l_next_seq = 0;
           l_inflight = Hashtbl.create 8;
+          l_acked = -1;
           l_expected = 0;
           l_reorder = Hashtbl.create 8;
           l_last_deliver = 0.;
@@ -142,7 +144,18 @@ let initial_rto t l ~bytes =
    selective ([received] = the seq of the copy that triggered it): a packet
    held in the reorder buffer — possibly for a long time, since a link's
    sequence order follows send-call order while send timestamps need not be
-   monotone — must still stop its sender's retransmission timer. *)
+   monotone — must still stop its sender's retransmission timer.
+
+   Seqs are only ever sent above [l_acked], so the cumulative part removes
+   just [l_acked + 1 .. upto] and raises the floor; a stale or reordered
+   ack below the floor does nothing cumulatively. *)
+let ack_arrives l ~upto ~received =
+  for seq = l.l_acked + 1 to upto do
+    Hashtbl.remove l.l_inflight seq
+  done;
+  if upto > l.l_acked then l.l_acked <- upto;
+  Hashtbl.remove l.l_inflight received
+
 let send_ack t l ~at ~received =
   let upto = l.l_expected - 1 in
   t.notify ~time:at (Ack_sent { src = l.l_src; dst = l.l_dst; upto });
@@ -154,13 +167,7 @@ let send_ack t l ~at ~received =
         if
           (not (down_at t l.l_src ~time:now))
           && not (severed t ~src:l.l_dst ~dst:l.l_src ~time:now)
-        then begin
-          let acked =
-            Hashtbl.fold (fun seq _ acc -> if seq <= upto then seq :: acc else acc) l.l_inflight []
-          in
-          List.iter (Hashtbl.remove l.l_inflight) acked;
-          Hashtbl.remove l.l_inflight received
-        end)
+        then ack_arrives l ~upto ~received)
   in
   if
     v.Chaos.drop || down_at t l.l_dst ~time:at
@@ -424,3 +431,12 @@ let describe_pending t =
       in
       inflight @ gave_up)
     links
+
+module For_testing = struct
+  let inflight_seqs t ~src ~dst =
+    match Hashtbl.find_opt t.links (src, dst) with
+    | None -> []
+    | Some l -> Hashtbl.fold (fun seq _ acc -> seq :: acc) l.l_inflight [] |> List.sort compare
+
+  let ack_arrives t ~src ~dst ~upto ~received = ack_arrives (link t ~src ~dst) ~upto ~received
+end

@@ -111,3 +111,16 @@ val gave_up_count : t -> int
 (** Human-readable lines describing unacknowledged and abandoned packets,
     for the watchdog's diagnostic dump. Empty when all is quiet. *)
 val describe_pending : t -> string list
+
+(** Hooks for tests that check the sender's acknowledgement bookkeeping
+    against a model. *)
+module For_testing : sig
+  (** Sequence numbers awaiting acknowledgement on link [src -> dst],
+      ascending. *)
+  val inflight_seqs : t -> src:int -> dst:int -> int list
+
+  (** Apply one acknowledgement arriving at the sender of [src -> dst],
+      as its network delivery would: cumulative up to [upto], plus the
+      selective [received]. *)
+  val ack_arrives : t -> src:int -> dst:int -> upto:int -> received:int -> unit
+end

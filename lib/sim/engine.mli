@@ -9,7 +9,8 @@ type t
 
 (** [create ?capacity ()] sizes the event set for roughly [capacity]
     concurrently pending events when the caller can predict it (the
-    simulator pends a handful of events per node). *)
+    simulator pends a handful of events per node); it grows past that on
+    demand. *)
 val create : ?capacity:int -> unit -> t
 
 (** Current simulated time: the timestamp of the event being executed, or the
@@ -17,8 +18,8 @@ val create : ?capacity:int -> unit -> t
 val now : t -> float
 
 (** [schedule t ~at f] enqueues [f] to run at absolute time [at]. Scheduling
-    in the past (before [now t]) is a programming error and raises
-    [Invalid_argument]; a small tolerance absorbs float rounding. *)
+    in the past (before [now t]) or at a NaN time is a programming error and
+    raises [Invalid_argument]; a small tolerance absorbs float rounding. *)
 val schedule : t -> at:float -> (unit -> unit) -> unit
 
 (** [run t] executes events in timestamp order until the queue drains.
@@ -29,6 +30,7 @@ val run : t -> float
     queue is empty. *)
 val step : t -> bool
 
+(** Number of events scheduled and not yet executed. *)
 val pending : t -> int
 
 (** Number of events executed so far. *)

@@ -11,7 +11,8 @@
    to default-flag simulator behavior — event order, costs, float
    arithmetic, report encoding, trace stream — fails the suite. The
    committed golden was produced by the array-backed, binary-heap seed;
-   the Bigarray/calendar-queue rewrite must reproduce it byte for byte.
+   every later rewrite of the word store and the event set (Bigarray
+   words, a calendar queue, the 4-ary heap) reproduced it byte for byte.
    After an *intentional* behavior change, refresh with [dune promote]. *)
 
 let protocols =

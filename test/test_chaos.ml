@@ -222,6 +222,59 @@ let test_transport_gives_up () =
   check Alcotest.int "nothing left in flight after giving up" 0
     (Machine.Transport.inflight_count tr)
 
+(* The sender's cumulative-ack floor: after an abandoned seq, a stale ack, a
+   lost ack and a duplicate, the in-flight set is exactly what the model
+   says (sent, minus abandoned, minus every seq <= some delivered [upto],
+   minus every delivered [received]). Every copy is dropped, so acks reach
+   the sender only through the hook, in the order the test picks. *)
+let test_transport_ack_floor () =
+  let engine = Sim.Engine.create () in
+  let net = Machine.Network.create ~costs:Machine.Costs.paragon ~nprocs:2 in
+  let chaos =
+    Machine.Chaos.create { Machine.Chaos.none with Machine.Chaos.drop_rate = 1.0 } ~nprocs:2
+  in
+  let tr =
+    Machine.Transport.create ~engine ~net ~chaos ~max_retries:1
+      ~notify:(fun ~time:_ _ -> ())
+      ()
+  in
+  let module T = Machine.Transport.For_testing in
+  let model = ref [] and next = ref 0 in
+  let expect what =
+    check Alcotest.(list int) what !model (T.inflight_seqs tr ~src:0 ~dst:1)
+  in
+  let send () =
+    Machine.Transport.send tr ~src:0 ~dst:1 ~at:(Sim.Engine.now engine) ~bytes:64 ignore;
+    model := !model @ [ !next ];
+    incr next
+  in
+  let ack ~upto ~received =
+    T.ack_arrives tr ~src:0 ~dst:1 ~upto ~received;
+    model := List.filter (fun s -> s > upto && s <> received) !model
+  in
+  send ();
+  ignore (Sim.Engine.run engine);
+  model := [];
+  expect "seq 0 abandoned at the retry cap";
+  for _ = 1 to 8 do
+    send ()
+  done;
+  expect "seqs 1..8 in flight";
+  ack ~upto:4 ~received:4;
+  expect "the floor passes the abandoned seq 0";
+  check Alcotest.int "still one abandoned" 1 (Machine.Transport.gave_up_count tr);
+  ack ~upto:2 ~received:7;
+  expect "a smaller upto after a larger one removes only its selective seq";
+  (* The ack for upto 5 is lost; the next cumulative one covers it. *)
+  ack ~upto:6 ~received:6;
+  expect "a later cumulative ack covers the lost one";
+  ack ~upto:6 ~received:6;
+  expect "a duplicate ack changes nothing";
+  ignore (Sim.Engine.run engine);
+  model := [];
+  expect "seq 8 abandoned at the retry cap";
+  check Alcotest.int "two abandoned" 2 (Machine.Transport.gave_up_count tr)
+
 (* --- Config plumbing ---------------------------------------------------- *)
 
 let chaos_mild fault_seed =
@@ -321,6 +374,7 @@ let suite =
     ("transport reliable fifo", `Quick, test_transport_reliable_fifo);
     ("transport no spurious retransmits", `Quick, test_transport_no_spurious_retransmits);
     ("transport gives up", `Quick, test_transport_gives_up);
+    ("transport cumulative ack floor", `Quick, test_transport_ack_floor);
     ("config rejects bad chaos", `Quick, test_config_rejects_bad_chaos);
     ("zero chaos byte identical", `Quick, test_zero_chaos_byte_identical);
     ("chaos report valid", `Quick, test_chaos_report_valid);
